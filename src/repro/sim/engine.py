@@ -9,8 +9,8 @@ for the simulated horizons used here (milliseconds to seconds).
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -38,9 +38,6 @@ class EventHandle:
         """Prevent the event from firing (no-op if already fired)."""
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """The event loop.
@@ -48,10 +45,14 @@ class Simulator:
     Components keep a reference to the simulator, call
     :meth:`schedule`/:meth:`schedule_at` to arrange callbacks, and read
     :attr:`now` for the current simulation time.
+
+    The queue is a heap of ``(time, seq, handle)`` tuples: ``seq`` is
+    unique, so ordering is decided by C-level tuple comparison and the
+    handle itself is never compared.
     """
 
     def __init__(self) -> None:
-        self._queue: list[EventHandle] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._now = 0.0
         self._running = False
@@ -88,21 +89,23 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past (when={when}, now={self._now})"
             )
-        self._seq += 1
-        event = EventHandle(when, self._seq, callback, args)
-        heapq.heappush(self._queue, event)
+        seq = self._seq = self._seq + 1
+        event = EventHandle(when, seq, callback, args)
+        heappush(self._queue, (when, seq, event))
         return event
 
     def peek_next_time(self) -> float | None:
         """Timestamp of the next pending event, if any."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2].cancelled:
+            heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Run a single event; returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heappop(queue)[2]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -126,26 +129,44 @@ class Simulator:
         """Run events until the queue drains, ``until``, or ``max_events``.
 
         Returns the simulation time when the run stopped.  When ``until`` is
-        given, time is advanced to exactly ``until`` even if the queue drains
-        earlier (so rate meters read consistent windows).
+        given and no event due by ``until`` is left pending, time is
+        advanced to exactly ``until`` even if the queue drains earlier (so
+        rate meters read consistent windows).  A run cut short by
+        ``max_events`` leaves time at the last fired event, so the events
+        it left behind still fire at their own times later.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        self.horizon = float("inf") if until is None else until
+        self.horizon = horizon = float("inf") if until is None else until
+        limit = float("inf") if max_events is None else max_events
+        queue = self._queue
         processed = 0
+        cut_short = False
         try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
+            # One read of the heap head per event: cancelled entries are
+            # dropped, the head is checked against the window, and a live
+            # event is popped once.  A profiled run dispatches through
+            # step(), so the profiler still records inside that frame.
+            while queue:
+                when, _seq, event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
+                    continue
+                if when > horizon:
                     break
-                next_time = self.peek_next_time()
-                if next_time is None:
+                if processed >= limit:
+                    cut_short = True
                     break
-                if until is not None and next_time > until:
-                    break
-                self.step()
                 processed += 1
-            if until is not None and self._now < until:
+                if self.profiler is not None:
+                    self.step()
+                    continue
+                heappop(queue)
+                self._now = when
+                self.events_processed += 1
+                event.callback(*event.args)
+            if until is not None and not cut_short and self._now < until:
                 self._now = until
         finally:
             self._running = False
@@ -154,7 +175,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of not-yet-cancelled queued events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
 
 
 class ServiceTimeline:

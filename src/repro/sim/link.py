@@ -14,11 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import SimulationError
+from ..errors import ConfigError, SimulationError
 from ..packet import Packet
 from .burst import chain_reservations
 from .engine import ServiceTimeline, Simulator
-from .mac import serialization_time
 from .stats import Counter
 
 PacketHandler = Callable[["Port", Packet], None]
@@ -71,6 +70,10 @@ class Port:
         coalesce: bool = False,
         batch_rx: bool = False,
     ) -> None:
+        if rate_bps <= 0:
+            raise ConfigError(f"port {name}: rate_bps must be positive")
+        if queue_bytes < 0:
+            raise ConfigError(f"port {name}: queue_bytes must be non-negative")
         self.sim = sim
         self.name = name
         self.rate_bps = rate_bps
@@ -200,10 +203,13 @@ class Port:
         if self._tx_fifo_bytes + size > self.queue_bytes:
             self.drops.count(size)
             return False
-        self._tx_fifo.append((packet, size))
-        self._tx_fifo_bytes += size
-        if not self._tx_busy:
-            self._start_next_tx()
+        if self._tx_busy:
+            self._tx_fifo.append((packet, size))
+            self._tx_fifo_bytes += size
+        else:
+            # An idle port has an empty FIFO: serialize straight away.
+            self._tx_busy = True
+            self._start_tx(packet, size)
         return True
 
     def send_delayed(self, packet: Packet, delay_s: float) -> None:
@@ -568,25 +574,36 @@ class Port:
         if end is not None:
             end()
 
-    def _start_next_tx(self) -> None:
-        if not self._tx_fifo:
-            self._tx_busy = False
-            return
-        self._tx_busy = True
-        packet, size = self._tx_fifo.popleft()
-        self._tx_fifo_bytes -= size
-        tx_time = serialization_time(size, self.rate_bps)
-        self.sim.schedule(tx_time, self._tx_done, packet)
+    def _start_tx(self, packet: Packet, size: int) -> None:
+        # Inlined serialization_time, as in _reserve_tx: pure-int framing
+        # and the helper's float operations in the same order.
+        framed = size + 4
+        if framed < 64:
+            framed = 64
+        self.sim.schedule(
+            (framed + 20) * 8 / self.rate_bps, self._tx_done, packet, size
+        )
 
-    def _tx_done(self, packet: Packet) -> None:
-        self.tx.count(packet.wire_len)
+    def _tx_done(self, packet: Packet, size: int) -> None:
+        tx = self.tx
+        tx.packets += 1
+        tx.bytes += size
         peer = self._peer
         if peer is not None:
-            self.sim.schedule(self._propagation_s, peer._deliver, packet)
-        self._start_next_tx()
+            self.sim.schedule(self._propagation_s, peer._deliver, packet, size)
+        fifo = self._tx_fifo
+        if fifo:
+            packet, size = fifo.popleft()
+            self._tx_fifo_bytes -= size
+            self._start_tx(packet, size)
+        else:
+            self._tx_busy = False
 
-    def _deliver(self, packet: Packet, size: int | None = None) -> None:
-        self.rx.count(packet.wire_len if size is None else size)
+    def _deliver(self, packet: Packet, size: int) -> None:
+        """Receive one frame of ``size`` wire bytes (sized once at send)."""
+        rx = self.rx
+        rx.packets += 1
+        rx.bytes += size
         if self._handler is not None:
             self._handler(self, packet)
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.packet import make_udp, pad_to_min
-from repro.sim import Port, connect
+from repro.errors import ConfigError, SimulationError
+from repro.netem import ImpairedPort
+from repro.packet import Packet, make_udp, pad_to_min
+from repro.sim import Port, Simulator, connect, serialization_time
 
 
 def make_pair(sim, rate=10e9, queue_bytes=4096):
@@ -94,3 +95,79 @@ class TestWiring:
         c = Port(sim, "c")
         a.connect(c)
         assert a.peer is c
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("rate", [0, 0.0, -1e9])
+    def test_non_positive_rate_rejected(self, sim, rate):
+        with pytest.raises(ConfigError):
+            Port(sim, "bad", rate_bps=rate)
+
+    def test_negative_queue_rejected(self, sim):
+        with pytest.raises(ConfigError):
+            Port(sim, "bad", queue_bytes=-1)
+
+    def test_impaired_port_rate_rejected(self, sim):
+        with pytest.raises(ConfigError):
+            ImpairedPort(sim, "bad", rate_bps=0)
+
+    def test_zero_queue_accepted(self, sim):
+        a = Port(sim, "a", queue_bytes=0)
+        b = Port(sim, "b")
+        connect(a, b)
+        assert not a.send(make_udp())
+        assert a.drops.packets == 1
+
+
+SIZES = (0, 1, 59, 60, 63, 64, 1500, 9000)
+RATES = (1e9, 3.3e9, 10e9, 25e9)
+
+
+class TestHopIdentity:
+    @pytest.mark.parametrize("rate", RATES)
+    def test_delivery_time_is_exact_sum(self, rate):
+        propagation = 50e-9
+        for size in SIZES:
+            sim = Simulator()
+            a = Port(sim, "a", rate_bps=rate, queue_bytes=1 << 20)
+            b = Port(sim, "b", rate_bps=rate, queue_bytes=1 << 20)
+            connect(a, b, propagation_s=propagation)
+            arrivals = []
+            b.attach(lambda port, packet: arrivals.append(sim.now))
+            assert a.send(Packet(payload=b"x" * size))
+            sim.run()
+            expected = 0.0 + serialization_time(size, rate) + propagation
+            assert arrivals == [expected], (size, rate)
+
+    def test_byte_counters_sum_wire_len(self, sim):
+        a, b = make_pair(sim, queue_bytes=1 << 20)
+        b.attach(lambda port, packet: None)
+        packets = [Packet(payload=b"x" * size) for size in SIZES]
+        for packet in packets:
+            a.send(packet)
+        sim.run()
+        total = sum(packet.wire_len for packet in packets)
+        assert (a.tx.packets, a.tx.bytes) == (len(SIZES), total)
+        assert (b.rx.packets, b.rx.bytes) == (len(SIZES), total)
+
+    def test_byte_counters_through_impaired_port(self, sim):
+        a = Port(sim, "a", queue_bytes=1 << 20)
+        b = ImpairedPort(
+            sim,
+            "b",
+            jitter_s=200e-9,
+            duplicate_probability=0.5,
+            seed=7,
+        )
+        connect(a, b)
+        got = []
+        b.attach(lambda port, packet: got.append(packet.wire_len))
+        sizes = SIZES * 8
+        for size in sizes:
+            a.send(Packet(payload=b"x" * size))
+        sim.run()
+        assert a.tx.bytes == sum(sizes)
+        assert b.duplicated.packets > 0
+        assert len(got) == len(sizes) + b.duplicated.packets
+        assert b.rx.packets == len(got)
+        assert b.rx.bytes == sum(got) == sum(sizes) + b.duplicated.bytes

@@ -1,9 +1,12 @@
 """Discrete-event engine: ordering, cancellation, periodic tasks."""
 
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import PeriodicTask
+from repro.obs.profiler import LoopProfiler
+from repro.sim import PeriodicTask, Simulator
 
 
 class TestScheduling:
@@ -89,6 +92,35 @@ class TestRunControl:
         sim.run(max_events=2)
         assert fired == [0, 1]
 
+    def test_max_events_stop_keeps_time_at_last_event(self, sim):
+        fired = []
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule_at(t, lambda t=t: fired.append((t, sim.now)))
+        assert sim.run(until=10.0, max_events=2) == 2.0
+        assert sim.now == 2.0
+        assert sim.run() == 3.0
+        assert fired == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
+    def test_max_events_stop_advances_when_rest_is_beyond_until(self, sim):
+        for t in (1.0, 2.0, 30.0):
+            sim.schedule_at(t, lambda: None)
+        sim.run(until=10.0, max_events=2)
+        assert sim.now == 10.0
+        assert sim.pending() == 1
+
+    @pytest.mark.parametrize("max_events", [0, -1])
+    def test_non_positive_max_events_fires_nothing(self, sim, max_events):
+        fired = []
+        sim.schedule(1.0, fired.append, "x")
+        sim.run(until=5.0, max_events=max_events)
+        assert fired == []
+        assert sim.now == 0.0
+        assert sim.events_processed == 0
+
+    def test_max_events_zero_on_idle_queue_advances_to_until(self, sim):
+        sim.run(until=5.0, max_events=0)
+        assert sim.now == 5.0
+
     def test_step(self, sim):
         sim.schedule(1.0, lambda: None)
         assert sim.step()
@@ -137,3 +169,53 @@ class TestPeriodicTask:
     def test_invalid_interval(self, sim):
         with pytest.raises(SimulationError):
             PeriodicTask(sim, 0.0, lambda: None)
+
+
+class _StepFrameProfiler(LoopProfiler):
+    """A LoopProfiler that also notes which frame calls ``record``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.callers: set[str] = set()
+
+    def record(self, callback, elapsed_s: float) -> None:
+        self.callers.add(sys._getframe(1).f_code.co_name)
+        super().record(callback, elapsed_s)
+
+
+class TestProfiledDispatch:
+    @staticmethod
+    def _schedule_mix(sim, fired):
+        handles = []
+        for i in range(40):
+            when = float(i % 7)
+            handles.append(sim.schedule_at(when, fired.append, (when, i)))
+        for handle in handles[::5]:
+            handle.cancel()
+
+        def spawn():
+            fired.append(("spawn", sim.now))
+            sim.schedule(0.0, fired.append, ("child", sim.now))
+
+        sim.schedule_at(3.0, spawn)
+
+    def test_profiler_sees_every_event_in_unprofiled_order(self):
+        plain_fired: list = []
+        plain = Simulator()
+        self._schedule_mix(plain, plain_fired)
+        plain.run(until=5.0)
+        plain.run()
+
+        profiled_fired: list = []
+        profiled = Simulator()
+        profiler = profiled.profiler = _StepFrameProfiler()
+        self._schedule_mix(profiled, profiled_fired)
+        profiled.run(until=5.0)
+        profiled.run()
+
+        assert profiled_fired == plain_fired
+        assert profiled.events_processed == plain.events_processed
+        assert sum(p.calls for p in profiler.profiles.values()) == (
+            profiled.events_processed
+        )
+        assert profiler.callers == {"step"}
