@@ -7,7 +7,8 @@ achieved goodput equals the theoretical line-rate goodput for every frame
 size with zero PPE overload drops.
 
 A second test measures the flow-cache fast path + batched execution: same
-workload, ``fastpath=True, batch_size=16`` — simulation results must be
+workload, ``EngineConfig("batched", fastpath=True, batch_size=64)`` —
+simulation results must be
 identical, but wall-clock simulated-packets/sec must improve ≥3×.
 
 A third test measures the compiled engine tier: fused per-flow recipes
@@ -39,6 +40,8 @@ SPEEDUP_BATCH = 64
 # The compiled tier amortizes per-burst Python overhead, so it runs a
 # deeper burst than the interpreted fast path uses.
 COMPILED_BATCH = 256
+# The interpreted fast path the speedup tests measure.
+FAST_ENGINE = EngineConfig(tier="batched", fastpath=True, batch_size=SPEEDUP_BATCH)
 # The speedup workload oversubscribes the PPE (14 Gbps offered into the
 # prototype's 13.125 Gbps of 60 B service capacity) so the ingress queue
 # stays deep and real full-size batches form.
@@ -76,29 +79,16 @@ def _export_metrics(tag: str, module, host, fiber) -> None:
 
 def run_nat(
     frame_len: int | None,
-    fastpath: bool = False,
-    batch_size: int = 1,
     run_s: float = RUN_S,
     rate_bps: float = 10e9,
     burst: int = 1,
-    engine: EngineConfig | str | None = None,
+    engine: EngineConfig = EngineConfig(),
 ) -> dict:
-    """One line-rate run; ``frame_len=None`` means IMIX.
-
-    ``engine`` selects a tier through the typed Engine API and carries
-    its own options; the ``fastpath``/``batch_size`` knobs remain for the
-    legacy call sites and are ignored when ``engine`` is given.
-    """
+    """One line-rate run on ``engine``; ``frame_len=None`` means IMIX."""
     sim = Simulator()
     nat = StaticNat(capacity=1024)
     nat.add_mapping("10.0.0.1", "198.51.100.1")
-    if engine is not None:
-        module = FlexSFPModule(sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine)
-    else:
-        module = FlexSFPModule(
-            sim, "dut", Deployment.solo(nat), auth_key=KEY, fastpath=fastpath,
-            batch_size=batch_size,
-        )
+    module = FlexSFPModule(sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine)
     config = module.engine_config
     fastpath, batch_size = config.fastpath, config.batch_size
     host = Port(sim, "host", rate_bps, queue_bytes=1 << 22, coalesce=batch_size > 1)
@@ -245,9 +235,7 @@ def compute_speedup():
     reference = fast = None
     for _ in range(SPEEDUP_REPEATS):
         ref_run = _speedup_run()
-        fast_run = _speedup_run(
-            fastpath=True, batch_size=SPEEDUP_BATCH, burst=SPEEDUP_BATCH
-        )
+        fast_run = _speedup_run(engine=FAST_ENGINE, burst=SPEEDUP_BATCH)
         if (
             reference is None
             or ref_run["wall_s"] / fast_run["wall_s"]
@@ -300,7 +288,7 @@ def test_fastpath_speedup(benchmark):
                 "sim_pkts_per_wall_s", "events",
             )
         },
-        knobs={"fastpath": True, "batch_size": SPEEDUP_BATCH},
+        knobs={"engine": FAST_ENGINE.tier, "engine_config": FAST_ENGINE.to_dict()},
         summary={"speedup": speedup},
         wall_s=reference["wall_s"] + fast["wall_s"],
     )
@@ -317,9 +305,7 @@ def compute_compiled_speedup():
     cleanest (highest-ratio) pair reported."""
     baseline = compiled = None
     for _ in range(SPEEDUP_REPEATS):
-        base_run = _speedup_run(
-            fastpath=True, batch_size=SPEEDUP_BATCH, burst=SPEEDUP_BATCH
-        )
+        base_run = _speedup_run(engine=FAST_ENGINE, burst=SPEEDUP_BATCH)
         comp_run = _speedup_run(engine=COMPILED_ENGINE, burst=COMPILED_BATCH)
         if (
             baseline is None

@@ -28,9 +28,7 @@ from .run import (
     artifact_from_fleet_result,
     artifact_from_scenario_run,
     engine_batch_size,
-    engine_name,
     environment_fingerprint,
-    fleet_view,
     load_artifact,
     spec_digest_of,
 )
@@ -51,9 +49,7 @@ __all__ = [
     "artifact_from_scenario_run",
     "diff_artifacts",
     "engine_batch_size",
-    "engine_name",
     "environment_fingerprint",
-    "fleet_view",
     "is_semantic_metric",
     "load_artifact",
     "semantic_metrics",

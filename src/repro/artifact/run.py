@@ -27,7 +27,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .._util import warn_deprecated
 from ..engine import (  # noqa: F401 - canonical home is repro.engine; re-exported
     DEFAULT_BATCHED_SIZE,
     ENGINE_BATCHED,
@@ -36,7 +35,6 @@ from ..engine import (  # noqa: F401 - canonical home is repro.engine; re-export
     ENGINES,
     EngineConfig,
     engine_batch_size,
-    engine_name,
     resolve_engine,
 )
 from ..analysis.effects import corpus_digest
@@ -201,7 +199,11 @@ class RunArtifact:
 # ----------------------------------------------------------------------
 def _knobs_from_spec(spec_payload: Mapping, workers: int | None) -> dict:
     batch_size = spec_payload.get("batch_size") or 1
-    engine = str(spec_payload.get("engine") or engine_name(batch_size))
+    # Specs written before the engine tier existed name only a batch size.
+    engine = str(
+        spec_payload.get("engine")
+        or (ENGINE_BATCHED if batch_size > 1 else ENGINE_REFERENCE)
+    )
     fastpath = bool(spec_payload.get("fastpath"))
     knobs = {
         "engine": engine,
@@ -359,18 +361,12 @@ def artifact_from_bench(
     knobs = dict(knobs or {})
     # One coherent engine selection for the knob block: an explicit
     # engine_config knob is taken verbatim (and validated); otherwise the
-    # bench's tier/legacy knobs resolve exactly like any other entrypoint.
+    # bench's tier knob resolves exactly like any other entrypoint.
     provided = knobs.get("engine_config")
     if isinstance(provided, Mapping):
         config = EngineConfig(**dict(provided))
     else:
-        raw_fastpath = knobs.get("fastpath")
-        raw_batch = knobs.get("batch_size")
-        config = resolve_engine(
-            knobs.get("engine"),
-            None if raw_fastpath is None else bool(raw_fastpath),
-            None if raw_batch is None else int(raw_batch),
-        )
+        config = resolve_engine(knobs.get("engine"))
     engine, fastpath, batch_size = config.tier, config.fastpath, config.batch_size
     spec_payload = {"kind": f"bench:{bench}", "seed": seed, **knobs}
     metrics = dict(metrics)
@@ -417,14 +413,14 @@ def artifact_from_bench(
 
 
 # ----------------------------------------------------------------------
-# Loading + legacy views
+# Loading
 # ----------------------------------------------------------------------
 def load_artifact(path) -> RunArtifact:
     """Load a ``flexsfp.run/1`` document from disk.
 
-    Legacy ``flexsfp.fleet/1`` documents (PR 4/5 artifacts) are accepted
-    and upgraded in place, so historical CI artifacts stay diffable
-    against new runs.
+    Legacy ``flexsfp.fleet/1`` documents are accepted and upgraded in
+    place, so artifacts and journals from earlier runs stay diffable
+    against new runs; nothing writes that schema any more.
     """
     from pathlib import Path
 
@@ -487,37 +483,6 @@ def _upgrade_fleet_document(payload: Mapping) -> RunArtifact:
     )
 
 
-def fleet_view(artifact: RunArtifact) -> dict:
-    """Deprecated: the old ``flexsfp.fleet/1`` shape of a run artifact.
-
-    Kept so PR 4/5 consumers (dashboards, jq pipelines over CI
-    artifacts) survive the ``flexsfp.run/1`` migration; per-shard
-    metric snapshots — which the run artifact intentionally reduces to
-    digests — are not reconstructed.
-    """
-    warn_deprecated("fleet_view()", "the flexsfp.run/1 document itself")
-    return {
-        "schema": SCHEMA_FLEET,
-        "spec": dict(artifact.spec),
-        "workers": artifact.knobs.get("workers"),
-        "shards": [
-            {
-                "index": shard["index"],
-                "seed": shard["seed"],
-                "digest": shard["digest"],
-                "summary": dict(shard.get("summary", {})),
-            }
-            for shard in artifact.shards
-        ],
-        "digests": list(artifact.digests),
-        "merged_metrics": dict(artifact.metrics),
-        "merged_histograms": {k: dict(v) for k, v in artifact.histograms.items()},
-        "wall_s": artifact.timings.get("wall_s", 0.0),
-        "completeness": dict(artifact.completeness),
-        "supervisor": dict(artifact.supervisor),
-    }
-
-
 __all__ = [
     "DEFAULT_BATCHED_SIZE",
     "ENGINES",
@@ -530,9 +495,7 @@ __all__ = [
     "artifact_from_fleet_result",
     "artifact_from_scenario_run",
     "engine_batch_size",
-    "engine_name",
     "environment_fingerprint",
-    "fleet_view",
     "load_artifact",
     "spec_digest_of",
 ]

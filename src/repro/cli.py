@@ -40,7 +40,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from ._util import warn_deprecated, write_text_atomic
+from ._util import write_text_atomic
 from .analysis import (
     analyze_app,
     check_app,
@@ -85,7 +85,6 @@ from .obs import (
     SCENARIO_KINDS,
     SCENARIOS,
     SCHEMA_DIFF,
-    SCHEMA_FLEET,
     SCHEMA_TRACE,
     ScenarioSpec,
     json_document,
@@ -144,29 +143,6 @@ def _shell_from_args(args: argparse.Namespace) -> ShellSpec:
             ControlPlaneClass.SOC if getattr(args, "soc", False) else ControlPlaneClass.SOFTCORE
         ),
     )
-
-
-def _engine_from_args(args: argparse.Namespace) -> str | None:
-    """The ``--engine`` tier, after rejecting mixed knob spellings.
-
-    ``--engine`` and the legacy ``--fastpath``/``--batch`` flags are two
-    spellings of the same selection; mixing them is ambiguous (which one
-    carries the options?) and exits 2.  Explicit legacy flags keep
-    working but emit a deprecation warning — ``flexsfp metrics
-    --fail-on-deprecated`` turns that warning into exit 3.
-    """
-    engine = getattr(args, "engine", None)
-    legacy = bool(getattr(args, "fastpath", False)) or bool(
-        getattr(args, "batch", 0)
-    )
-    if engine is not None and legacy:
-        raise ConfigError(
-            "--engine conflicts with the legacy --fastpath/--batch flags; "
-            "pass the engine tier alone and let it carry the options"
-        )
-    if legacy:
-        warn_deprecated("flexsfp --fastpath/--batch", "--engine TIER")
-    return engine
 
 
 # ----------------------------------------------------------------------
@@ -416,9 +392,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         kind="chaos",
         fault_plan=args.plan,
         seed=args.seed,
-        engine=_engine_from_args(args),
-        fastpath=True if args.fastpath else None,
-        batch_size=args.batch if args.batch else None,
+        engine=args.engine,
     ).run()
     result = run.summary
     findings = [
@@ -443,25 +417,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.out is not None:
         write_text_atomic(args.out, document + "\n")
     if args.json:
-        if args.legacy_table:
-            warn_deprecated(
-                "flexsfp chaos --json --legacy-table",
-                "the flexsfp.run/1 document (default --json output)",
-            )
-            print(
-                table_json(
-                    "chaos",
-                    ("metric", "value"),
-                    metric_rows,
-                    plan=args.plan,
-                    seed=args.seed,
-                    signature=plan.signature(),
-                    events=[[e.time_s, e.kind, e.target] for e in plan],
-                    result=dict(result),
-                )
-            )
-        else:
-            print(document)
+        print(document)
         return 0
     print(f"plan {args.plan!r} seed={args.seed} sig={plan.signature()[:16]}…")
     _print_rows(
@@ -641,14 +597,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DeprecationWarning)
-        # Inside the capture so explicit legacy-knob use is visible to
-        # --fail-on-deprecated, the CI gate for stale spellings.
         spec = ScenarioSpec(
-            kind=args.scenario,
-            engine=_engine_from_args(args),
-            fastpath=True if args.fastpath else None,
-            batch_size=args.batch if args.batch else None,
-            profile=args.profile,
+            kind=args.scenario, engine=args.engine, profile=args.profile
         )
         run = spec.run()
         metrics = run.metrics()
@@ -675,9 +625,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     run = ScenarioSpec(
         kind=args.scenario,
         trace_packets=args.packets,
-        engine=_engine_from_args(args),
-        fastpath=True if args.fastpath else None,
-        batch_size=args.batch if args.batch else None,
+        engine=args.engine,
     ).run()
     tracer = run.tracer
     if args.json:
@@ -705,9 +653,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             seed=args.seed,
             shards=args.shards,
             fault_plan=args.plan,
-            engine=_engine_from_args(args),
-            fastpath=True if args.fastpath else None,
-            batch_size=args.batch if args.batch else None,
+            engine=args.engine,
         )
     policy = None
     if args.shard_timeout is not None or args.max_retries is not None:
@@ -727,14 +673,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpoint=args.checkpoint,
         resume=args.resume,
     )
-    if args.legacy_fleet:
-        warn_deprecated(
-            "flexsfp run --legacy-fleet (flexsfp.fleet/1 output)",
-            "the flexsfp.run/1 artifact (default output)",
-        )
-        document = json_document(SCHEMA_FLEET, **result.to_dict())
-    else:
-        document = result.to_artifact().document()
+    document = result.to_artifact().document()
     if args.out is not None:
         # Atomic: a run killed mid-write never leaves a truncated artifact.
         write_text_atomic(args.out, document + "\n")
@@ -966,27 +905,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    chaos.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    chaos.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (reference|batched|compiled; default: "
+        "FLEXSFP_ENGINE, then reference)",
     )
     chaos.add_argument(
         "--out",
         metavar="FILE",
         default=None,
         help="write the flexsfp.run/1 artifact to FILE (atomic)",
-    )
-    chaos.add_argument(
-        "--legacy-table",
-        action="store_true",
-        dest="legacy_table",
-        help="deprecated: emit the pre-run/1 flexsfp.table/1 JSON shape "
-        "(with --json); removed in 2.0",
     )
     chaos.set_defaults(func=cmd_chaos)
 
@@ -1063,14 +989,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    metrics.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    metrics.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (reference|batched|compiled; default: "
+        "FLEXSFP_ENGINE, then reference)",
     )
     metrics.add_argument(
         "--profile",
@@ -1100,14 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    trace.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    trace.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (reference|batched|compiled; default: "
+        "FLEXSFP_ENGINE, then reference)",
     )
     trace.set_defaults(func=cmd_trace)
 
@@ -1137,14 +1051,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="engine tier (reference|batched|compiled); replaces "
-        "--fastpath/--batch",
-    )
-    run.add_argument(
-        "--fastpath", action="store_true", help="deprecated: use --engine"
-    )
-    run.add_argument(
-        "--batch", type=int, default=0, help="deprecated: use --engine"
+        help="engine tier (reference|batched|compiled; default: "
+        "FLEXSFP_ENGINE, then reference)",
     )
     run.add_argument(
         "--start-method",
@@ -1159,13 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the flexsfp.run/1 artifact to FILE "
         "(atomic: temp file + rename)",
-    )
-    run.add_argument(
-        "--legacy-fleet",
-        action="store_true",
-        dest="legacy_fleet",
-        help="deprecated: emit the pre-run/1 flexsfp.fleet/1 document "
-        "shape; removed in 2.0",
     )
     run.add_argument(
         "--shard-timeout",

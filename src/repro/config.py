@@ -1,7 +1,7 @@
 """Typed runtime settings: every ``FLEXSFP_*`` knob parsed in one place.
 
-The simulation grew environment switches organically — the flow-cache
-fast path, the PPE batch size, the benchmark metrics-export directory —
+The simulation grew environment switches organically — the engine
+tier, the flow-cache fast path, the benchmark metrics-export directory —
 each parsed ad hoc at its point of use.  :class:`Settings` consolidates
 them into one frozen dataclass with a single, tested parser
 (:meth:`Settings.from_env`), resolved *once* wherever a component is
@@ -11,9 +11,9 @@ Recognized variables:
 
 =========================  ====================================================
 ``FLEXSFP_ENGINE``         engine tier default (``reference``/``batched``/
-                           ``compiled``); unset defers to the legacy knobs
-``FLEXSFP_FASTPATH``       flow-cache fast path default (``1/true/on/yes``)
-``FLEXSFP_BATCH``          PPE batch size default (integer ≥ 1)
+                           ``compiled``); unset means ``reference``
+``FLEXSFP_FASTPATH``       flow-cache fast path default for the
+                           ``reference``/``batched`` tiers (``1/true/on/yes``)
 ``FLEXSFP_METRICS_DIR``    benchmark metrics-artifact export directory
 ``FLEXSFP_BENCH_DIR``      BENCH history directory (``flexsfp.run/1``
                            artifacts + ``BENCH_*.json`` history files);
@@ -29,8 +29,8 @@ Recognized variables:
 
 Malformed values never raise at import or construction time: they fall
 back to the documented default, exactly like the scattered parsers they
-replace (a bad ``FLEXSFP_BATCH`` should degrade a CI knob, not brick the
-simulator).
+replace (a bad ``FLEXSFP_WORKERS`` should degrade a CI knob, not brick
+the simulator).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ _TRUE_WORDS = frozenset({"1", "true", "on", "yes"})
 
 ENV_ENGINE = "FLEXSFP_ENGINE"
 ENV_FASTPATH = "FLEXSFP_FASTPATH"
-ENV_BATCH = "FLEXSFP_BATCH"
 ENV_METRICS_DIR = "FLEXSFP_METRICS_DIR"
 ENV_BENCH_DIR = "FLEXSFP_BENCH_DIR"
 ENV_WORKERS = "FLEXSFP_WORKERS"
@@ -99,11 +98,9 @@ def parse_float(
 class Settings:
     """All environment-tunable defaults, resolved once per construction site.
 
-    ``engine`` names the default tier consumed by
-    :func:`repro.engine.resolve_engine`; ``fastpath`` / ``batch_size``
-    are the legacy simulation-speed knobs a
-    :class:`~repro.core.module.FlexSFPModule` consults when its own
-    constructor arguments are ``None``; ``metrics_dir`` is where
+    ``engine`` names the default tier and ``fastpath`` the default
+    flow-cache setting, both consumed by
+    :func:`repro.engine.resolve_engine`; ``metrics_dir`` is where
     benchmarks export registry dumps; ``workers`` / ``start_method``
     steer the :mod:`repro.parallel` sharded runner; ``shard_timeout_s``
     / ``max_retries`` / ``retry_backoff_s`` steer its supervisor
@@ -112,7 +109,6 @@ class Settings:
 
     engine: str | None = None
     fastpath: bool = False
-    batch_size: int = 1
     metrics_dir: Path | None = None
     bench_dir: Path | None = None
     workers: int | None = None
@@ -135,7 +131,6 @@ class Settings:
         return cls(
             engine=engine if engine in ENGINES else None,
             fastpath=parse_bool(env.get(ENV_FASTPATH)),
-            batch_size=parse_int(env.get(ENV_BATCH), 1, minimum=1),
             metrics_dir=Path(metrics_dir) if metrics_dir else None,
             bench_dir=Path(bench_dir) if bench_dir else None,
             workers=workers if workers > 0 else None,

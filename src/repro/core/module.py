@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .._util import mac_to_int, warn_deprecated
+from .._util import mac_to_int
 from ..config import Settings
 from ..engine import EngineConfig, resolve_engine
 from ..errors import BitstreamError, ConfigError, FlashError
@@ -125,9 +125,9 @@ class FlexSFPModule:
         A :class:`~repro.nfv.Deployment` — the ordered tenant slots this
         module hosts (one tenant for the classic single-function cable,
         several for multi-tenant NFV chaining with crossbar steering).
-        Passing a bare :class:`PPEApplication` here (or via the ``app=``
-        keyword) is the deprecated legacy form; it is wrapped in
-        :meth:`~repro.nfv.Deployment.solo` and warns.
+        A bare :class:`PPEApplication` is rejected with a
+        :class:`~repro.errors.ConfigError`; wrap it in
+        :meth:`~repro.nfv.Deployment.solo`.
     shell:
         Architecture shell (defaults to the prototype One-Way-Filter).
     device:
@@ -139,27 +139,19 @@ class FlexSFPModule:
         A pre-computed :class:`~repro.hls.compiler.BuildResult`; when
         omitted the module synthesizes ``app`` itself (raising if it does
         not fit or misses timing).
-    fastpath / batch_size:
-        Simulation-speed knobs (results are differentially tested to be
-        identical): ``fastpath`` puts a :class:`FlowCache` in front of the
-        PPE; ``batch_size`` > 1 drains up to that many frames per
-        scheduled event and coalesces port events.  ``None`` defers to
-        ``settings`` — the typed :class:`~repro.config.Settings` object
-        resolved once at construction from the ``FLEXSFP_FASTPATH`` /
-        ``FLEXSFP_BATCH`` environment variables (so CI can run the whole
-        suite with the fast path on).
     settings:
         A pre-resolved :class:`~repro.config.Settings`; ``None`` resolves
         the environment here, once, instead of knob by knob.
     engine:
         The typed engine selection — an :class:`~repro.engine.EngineConfig`
-        or a tier name (``reference`` / ``batched`` / ``compiled``).
-        Mutually exclusive with the legacy ``fastpath``/``batch_size``
-        knobs (passing both raises :class:`~repro.errors.ConfigError`);
-        when omitted the legacy knobs and environment resolve through
-        :func:`~repro.engine.resolve_engine` to the same tiers as before.
-        The ``compiled`` tier additionally lowers the verified pipeline
-        IR into a fused per-flow executor program
+        or a tier name (``reference`` / ``batched`` / ``compiled``); when
+        omitted, the solo tenant's own engine or the environment resolves
+        it through :func:`~repro.engine.resolve_engine`.  Every tier gives
+        the same results (differentially tested): ``fastpath`` puts a
+        :class:`FlowCache` in front of the PPE; ``batch_size`` > 1 drains
+        up to that many frames per scheduled event and coalesces port
+        events.  The ``compiled`` tier additionally lowers the verified
+        pipeline IR into a fused per-flow executor program
         (:func:`repro.hls.compile_executor`) and opts the data ports into
         the struct-of-arrays burst lane.
     """
@@ -168,7 +160,7 @@ class FlexSFPModule:
         self,
         sim: Simulator,
         name: str,
-        deployment: "Deployment | PPEApplication | None" = None,
+        deployment: Deployment,
         shell: ShellSpec = PROTOTYPE_SHELL,
         device: FPGADevice = MPF200T,
         auth_key: bytes = DEFAULT_AUTH_KEY,
@@ -178,34 +170,18 @@ class FlexSFPModule:
         device_id: int = 0,
         mgmt_mac: str | int = "02:f5:f9:00:00:01",
         watchdog_timeout_s: float = WATCHDOG_TIMEOUT_S,
-        fastpath: bool | None = None,
-        batch_size: int | None = None,
         flow_cache_entries: int = DEFAULT_FLOW_CACHE_ENTRIES,
         settings: Settings | None = None,
         engine: "EngineConfig | str | None" = None,
-        app: PPEApplication | None = None,
     ) -> None:
         from ..hls.compiler import compile_app  # deferred: avoids import cycle
 
-        if app is not None:
-            if deployment is not None:
-                raise ConfigError(
-                    "pass either a deployment or the legacy app, not both"
-                )
-            warn_deprecated(
-                "FlexSFPModule(app=...)",
-                "FlexSFPModule(deployment=Deployment.solo(app))",
+        if not isinstance(deployment, Deployment):
+            raise ConfigError(
+                f"FlexSFPModule needs a Deployment, got "
+                f"{type(deployment).__name__}; wrap a single application "
+                f"in Deployment.solo(app)"
             )
-            deployment = Deployment.solo(app)
-        elif deployment is None:
-            raise ConfigError("FlexSFPModule needs a Deployment")
-        elif not isinstance(deployment, Deployment):
-            # A bare application in the old positional slot.
-            warn_deprecated(
-                "FlexSFPModule(app=...)",
-                "FlexSFPModule(deployment=Deployment.solo(app))",
-            )
-            deployment = Deployment.solo(deployment)
         if deployment.shell is not None:
             shell = deployment.shell
         if deployment.device is not None:
@@ -223,22 +199,10 @@ class FlexSFPModule:
         self.auth_key = auth_key
         self.deploy_key = deploy_key if deploy_key is not None else auth_key
 
-        if engine is not None and (fastpath is not None or batch_size is not None):
-            raise ConfigError(
-                "engine conflicts with the legacy fastpath/batch_size knobs; "
-                "pass one EngineConfig (or tier name) and let it carry the "
-                "options"
-            )
         solo_spec = deployment.tenants[0]
-        if (
-            not self._multi
-            and engine is None
-            and fastpath is None
-            and batch_size is None
-            and solo_spec.engine is not None
-        ):
+        if not self._multi and engine is None:
             engine = solo_spec.engine
-        self.engine_config = resolve_engine(engine, fastpath, batch_size, settings)
+        self.engine_config = resolve_engine(engine, settings)
         self.fastpath = self.engine_config.fastpath
         self.batch_size = self.engine_config.batch_size
         self._flow_cache_entries = flow_cache_entries
@@ -390,7 +354,7 @@ class FlexSFPModule:
         spec = slot.spec
         slot.app = app
         slot.config = (
-            resolve_engine(spec.engine, None, None, self._settings)
+            resolve_engine(spec.engine, self._settings)
             if spec.engine is not None
             else self.engine_config
         )
@@ -1462,11 +1426,6 @@ class FlexSFPModule:
             "boot_slot": self.flash.boot_slot,
             "watchdog_reboots": self.watchdog_reboots,
         }
-
-    def stats(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated("FlexSFPModule.stats()", "FlexSFPModule.snapshot()")
-        return self.snapshot()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

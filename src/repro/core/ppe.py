@@ -50,7 +50,6 @@ from typing import TYPE_CHECKING, Callable, Hashable
 
 import numpy as np
 
-from .._util import warn_deprecated
 from ..errors import SimulationError
 from ..fpga.timing import TimingSpec
 from ..packet import Packet
@@ -1296,14 +1295,6 @@ class PacketProcessingEngine:
                 "compile_wall_s": self.program.compile_wall_s,
             }
         return stats
-
-    def stats(self) -> dict[str, object]:
-        """Deprecated alias for :meth:`snapshot`."""
-        warn_deprecated(
-            "PacketProcessingEngine.stats()",
-            "PacketProcessingEngine.snapshot()",
-        )
-        return self.snapshot()
 
     def metric_values(self) -> dict[str, object]:
         """Flat :class:`~repro.obs.registry.MetricSource` view.

@@ -17,13 +17,12 @@ different simulation speeds:
     whole burst advances with a handful of Python-level operations.
     Frames a recipe cannot handle deopt to the batched path one by one.
 
-Historically the tier was implied by two scattered knobs (``fastpath``
-bool + ``batch_size`` int, each with its own env variable and CLI flag).
-:class:`EngineConfig` makes the tier a first-class, validated value that
-modules, switches, :class:`~repro.obs.scenario.ScenarioSpec`,
-``MatrixAxes`` and the CLI all accept; the legacy knobs survive as
-deprecation shims that resolve *through* this module, so both spellings
-pick the same engine.
+The tier is a first-class, validated value: modules, switches,
+:class:`~repro.obs.scenario.ScenarioSpec`, ``MatrixAxes`` and the CLI
+all accept one :class:`EngineConfig` (or a tier name that
+:func:`resolve_engine` fills in with the tier's defaults).  There is no
+second spelling: an unnamed tier comes from ``FLEXSFP_ENGINE`` or
+defaults to ``reference``.
 """
 
 from __future__ import annotations
@@ -40,13 +39,6 @@ ENGINES = (ENGINE_REFERENCE, ENGINE_BATCHED, ENGINE_COMPILED)
 
 # Batch size a ``batched``/``compiled`` tier runs unless overridden.
 DEFAULT_BATCHED_SIZE = 16
-
-
-def engine_name(batch_size: int | None) -> str:
-    """The engine a legacy batch size selects (``None``/1 → reference)."""
-    return ENGINE_BATCHED if batch_size is not None and batch_size > 1 else (
-        ENGINE_REFERENCE
-    )
 
 
 def engine_batch_size(engine: str, batched_size: int = DEFAULT_BATCHED_SIZE) -> int:
@@ -113,22 +105,16 @@ class EngineConfig:
 
 
 def resolve_engine(
-    engine: "EngineConfig | str | None" = None,
-    fastpath: bool | None = None,
-    batch_size: int | None = None,
-    settings=None,
+    engine: "EngineConfig | str | None" = None, settings=None
 ) -> EngineConfig:
-    """Resolve an engine selection from new-style and legacy knobs.
+    """Resolve an engine selection to one :class:`EngineConfig`.
 
-    Precedence: an explicit :class:`EngineConfig` wins outright; an
-    explicit tier name (argument, then ``FLEXSFP_ENGINE``) is filled in
-    with tier-appropriate defaults (``compiled`` implies fastpath;
-    batched tiers default to :data:`DEFAULT_BATCHED_SIZE` unless the
-    legacy batch knob names a burst size); with no tier named anywhere,
-    the legacy ``fastpath``/``batch_size`` knobs (arguments, then env)
-    select ``reference`` or ``batched`` exactly as before this API
-    existed.  Invalid combinations raise
-    :class:`~repro.errors.ConfigError` from ``EngineConfig`` itself.
+    An explicit :class:`EngineConfig` wins outright.  Otherwise the tier
+    is the ``engine`` name, then ``FLEXSFP_ENGINE``, then ``reference``,
+    filled in with the tier's defaults: ``reference`` runs one frame per
+    event, the batched tiers run :data:`DEFAULT_BATCHED_SIZE`,
+    ``compiled`` implies the flow cache, and the other tiers take it
+    from ``FLEXSFP_FASTPATH``.
     """
     if isinstance(engine, EngineConfig):
         return engine
@@ -136,32 +122,12 @@ def resolve_engine(
         from .config import get_settings
 
         settings = get_settings()
-    tier = engine if engine is not None else settings.engine
-    if tier is None:
-        size = settings.batch_size if batch_size is None else batch_size
-        return EngineConfig(
-            tier=engine_name(size),
-            fastpath=settings.fastpath if fastpath is None else fastpath,
-            batch_size=max(1, size),
-        )
-    tier = str(tier)
-    if tier not in ENGINES:
-        raise ConfigError(f"unknown engine {tier!r}; known: {list(ENGINES)}")
-    if batch_size is not None:
-        size = batch_size
-    elif tier == ENGINE_REFERENCE:
-        size = 1
-    elif settings.batch_size > 1:
-        size = settings.batch_size
-    else:
-        size = DEFAULT_BATCHED_SIZE
-    if fastpath is not None:
-        cache = fastpath
-    elif tier == ENGINE_COMPILED:
-        cache = True
-    else:
-        cache = settings.fastpath
-    return EngineConfig(tier=tier, fastpath=cache, batch_size=size)
+    tier = str(engine) if engine is not None else settings.engine or ENGINE_REFERENCE
+    return EngineConfig(
+        tier=tier,
+        fastpath=tier == ENGINE_COMPILED or settings.fastpath,
+        batch_size=engine_batch_size(tier),
+    )
 
 
 __all__ = [
@@ -172,6 +138,5 @@ __all__ = [
     "ENGINE_REFERENCE",
     "EngineConfig",
     "engine_batch_size",
-    "engine_name",
     "resolve_engine",
 ]

@@ -195,8 +195,6 @@ def run_gauntlet(
     traffic_bps: float = 50e6,
     frame_len: int = 512,
     probe_interval_s: float = PROBE_INTERVAL_S,
-    fastpath: bool | None = None,
-    batch_size: int | None = None,
     engine: "EngineConfig | str | None" = None,
     registry=None,
     tracer=None,
@@ -245,8 +243,6 @@ def run_gauntlet(
         switch,
         retrofit_plan,
         auth_key=KEY,
-        fastpath=fastpath,
-        batch_size=batch_size,
         engine=engine,
     )
     module = retrofit.module_at(1)

@@ -28,7 +28,6 @@ from ..artifact import (
     RunArtifact,
     diff_artifacts,
     engine_batch_size,
-    engine_name,
 )
 from ..engine import ENGINE_COMPILED
 from ..errors import ConfigError

@@ -4,9 +4,8 @@ A :class:`Deployment` is the unit of provisioning for a FlexSFP module:
 an ordered list of :class:`TenantSpec` slots, each naming the network
 function it runs, the ingress frames it claims (:class:`SteeringMatch`),
 the fraction of the app partition it may occupy, and optionally its own
-engine tier.  ``FlexSFPModule(sim, name, deployment)`` is the primary
-constructor; the legacy single-app form is a deprecation shim over
-:meth:`Deployment.solo`.
+engine tier.  ``FlexSFPModule(sim, name, deployment)`` is the only constructor; a
+single application goes in through :meth:`Deployment.solo`.
 
 Steering is first-match-wins in slot order, and the *last* tenant must
 carry the wildcard match — that invariant makes the crossbar a total
@@ -109,9 +108,9 @@ class TenantSpec:
 
     ``app`` is either a registry name (``"sanitizer"``) instantiated at
     deploy time with ``params``, or an already-configured
-    :class:`~repro.core.ppe.PPEApplication` instance (the form the
-    ``Deployment.solo`` migration shim uses for e.g. a ``StaticNat``
-    with mappings loaded).
+    :class:`~repro.core.ppe.PPEApplication` instance (the form
+    :meth:`Deployment.solo` uses for e.g. a ``StaticNat`` with mappings
+    loaded).
     """
 
     name: str
@@ -214,7 +213,7 @@ class Deployment:
         engine: str | None = None,
         params: Mapping[str, Any] | None = None,
     ) -> Deployment:
-        """A one-tenant deployment — the migration target for ``app=``."""
+        """A one-tenant deployment: the classic single-function cable."""
         return cls(
             tenants=(
                 TenantSpec(

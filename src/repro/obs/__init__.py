@@ -39,9 +39,6 @@ from .scenario import (
     ScenarioRun,
     ScenarioSpec,
     TrafficProfile,
-    run_nat_chain,
-    run_nat_linerate,
-    run_scenario,
 )
 from .trace import (
     STAGE_APP,
@@ -88,9 +85,6 @@ __all__ = [
     "metrics_jsonl",
     "prometheus_name",
     "prometheus_text",
-    "run_nat_chain",
-    "run_nat_linerate",
-    "run_scenario",
     "table_json",
     "validate_metric_name",
 ]

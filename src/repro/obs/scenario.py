@@ -17,9 +17,6 @@ metrics`` / ``flexsfp trace`` / ``flexsfp run`` and the benchmark
 artifact export all drive these builders, so the numbers a CI artifact
 carries and the ones a test asserts on come from the identical code
 path.
-
-The legacy ``run_scenario(name, **kwargs)`` string-dispatch entry point
-survives as a deprecation shim that builds a spec and forwards to it.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ import json
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
-from .._util import warn_deprecated
 from ..apps import StaticNat, create_app
 from ..config import Settings, get_settings
 from ..core.module import FlexSFPModule
@@ -93,10 +89,11 @@ class ScenarioSpec:
     """A complete, typed description of one simulated workload.
 
     ``engine`` names the execution tier (``reference`` / ``batched`` /
-    ``compiled``); ``fastpath`` / ``batch_size`` are its options.  Any of
-    the three left as ``None`` resolves from :class:`~repro.config.Settings`
-    (the ``FLEXSFP_ENGINE`` / ``FLEXSFP_FASTPATH`` / ``FLEXSFP_BATCH``
-    environment knobs) exactly once, in :meth:`resolved` — a sharded run
+    ``compiled``); ``fastpath`` / ``batch_size`` override its options.
+    Any of the three left as ``None`` resolves through
+    :func:`~repro.engine.resolve_engine` (the tier's defaults and the
+    ``FLEXSFP_ENGINE`` / ``FLEXSFP_FASTPATH`` environment knobs) exactly
+    once, in :meth:`resolved` — a sharded run
     resolves in the parent so every worker executes the same knobs
     regardless of its own environment.  A resolved spec carries the full
     :class:`~repro.engine.EngineConfig` field set; :meth:`engine_config`
@@ -170,9 +167,7 @@ class ScenarioSpec:
         changes: dict[str, object] = {}
         if self.traffic is None:
             changes["traffic"] = _KIND_TRAFFIC[self.kind]
-        config = resolve_engine(
-            self.engine, self.fastpath, self.batch_size, settings=settings
-        )
+        config = self.engine_config(settings)
         if self.engine != config.tier:
             changes["engine"] = config.tier
         if self.fastpath != config.fastpath:
@@ -187,8 +182,13 @@ class ScenarioSpec:
 
     def engine_config(self, settings: Settings | None = None) -> EngineConfig:
         """The spec's engine selection as one typed, validated value."""
-        return resolve_engine(
-            self.engine, self.fastpath, self.batch_size, settings=settings
+        config = resolve_engine(self.engine, settings)
+        return EngineConfig(
+            tier=config.tier,
+            fastpath=config.fastpath if self.fastpath is None else self.fastpath,
+            batch_size=(
+                config.batch_size if self.batch_size is None else self.batch_size
+            ),
         )
 
     def with_shard(self, index: int, seed: int) -> "ScenarioSpec":
@@ -715,7 +715,7 @@ def _build_tenant_churn(spec: ScenarioSpec) -> ScenarioRun:
 
 
 # ----------------------------------------------------------------------
-# Registry of scenario kinds + legacy entry points
+# Registry of scenario kinds
 # ----------------------------------------------------------------------
 SCENARIO_KINDS: dict[str, Callable[[ScenarioSpec], ScenarioRun]] = {
     "nat-linerate": _build_nat_linerate,
@@ -726,44 +726,6 @@ SCENARIO_KINDS: dict[str, Callable[[ScenarioSpec], ScenarioRun]] = {
     "tenant-churn": _build_tenant_churn,
 }
 
-
-def _legacy_spec(name: str, **kwargs) -> ScenarioSpec:
-    """Map the old ``run_scenario`` keyword surface onto a spec."""
-    traffic_kwargs = {}
-    for key, target in (
-        ("duration_s", "duration_s"),
-        ("rate_bps", "rate_bps"),
-        ("frame_len", "frame_len"),
-    ):
-        if key in kwargs:
-            traffic_kwargs[target] = kwargs.pop(key)
-    traffic = (
-        replace(_KIND_TRAFFIC.get(name, TrafficProfile()), **traffic_kwargs)
-        if traffic_kwargs
-        else None
-    )
-    spec = ScenarioSpec(kind=name, traffic=traffic, **kwargs)
-    spec.validate()
-    return spec
-
-
-def run_nat_linerate(**kwargs) -> ScenarioRun:
-    """The §5.1 quick NAT line-rate config, fully instrumented."""
-    return _legacy_spec("nat-linerate", **kwargs).run()
-
-
-def run_nat_chain(**kwargs) -> ScenarioRun:
-    """Two chained NAT modules — the trace demo for multi-hop cables."""
-    return _legacy_spec("nat-chain", **kwargs).run()
-
-
-SCENARIOS = {
-    "nat-linerate": run_nat_linerate,
-    "nat-chain": run_nat_chain,
-}
-
-
-def run_scenario(name: str, **kwargs) -> ScenarioRun:
-    """Deprecated string-dispatch shim; use :meth:`ScenarioSpec.run`."""
-    warn_deprecated("run_scenario()", "ScenarioSpec(kind=...).run()")
-    return _legacy_spec(name, **kwargs).run()
+#: The kinds ``flexsfp metrics`` / ``flexsfp trace`` run: the quick NAT
+#: configs, short enough for a CI gate and a readable trace.
+SCENARIOS = ("nat-chain", "nat-linerate")

@@ -8,14 +8,13 @@ import pytest
 
 from repro.artifact import (
     DEFAULT_BATCHED_SIZE,
+    EngineConfig,
     RunArtifact,
     artifact_from_bench,
     artifact_from_scenario_run,
     diff_artifacts,
     engine_batch_size,
-    engine_name,
     environment_fingerprint,
-    fleet_view,
     load_artifact,
     spec_digest_of,
 )
@@ -28,18 +27,12 @@ from repro.parallel.runner import run_sharded
 @pytest.fixture(scope="module")
 def fleet_artifact() -> RunArtifact:
     spec = ScenarioSpec(
-        kind="nat-linerate", seed=5, shards=2, fastpath=False, batch_size=1
+        kind="nat-linerate", seed=5, shards=2, engine="reference", fastpath=False
     )
     return run_sharded(spec, workers=1).to_artifact()
 
 
 class TestEngineNames:
-    def test_engine_name_from_batch_size(self):
-        assert engine_name(None) == "reference"
-        assert engine_name(1) == "reference"
-        assert engine_name(2) == "batched"
-        assert engine_name(16) == "batched"
-
     def test_engine_batch_size_round_trips(self):
         assert engine_batch_size("reference") == 1
         assert engine_batch_size("batched") == DEFAULT_BATCHED_SIZE
@@ -127,7 +120,7 @@ class TestRunArtifact:
 class TestScenarioRunBuilder:
     def test_chaos_scenario_artifact(self):
         run = ScenarioSpec(
-            kind="chaos", fault_plan="smoke", seed=7, fastpath=False, batch_size=1
+            kind="chaos", fault_plan="smoke", seed=7, engine="reference", fastpath=False
         ).resolved().run()
         artifact = artifact_from_scenario_run(
             run, source="chaos-gauntlet", findings=[{"kind": "optical_cut"}]
@@ -143,7 +136,7 @@ class TestScenarioRunBuilder:
 
     def test_scenario_artifact_spec_digest_is_stable(self):
         spec = ScenarioSpec(
-            kind="chaos", fault_plan="smoke", seed=7, fastpath=False, batch_size=1
+            kind="chaos", fault_plan="smoke", seed=7, engine="reference", fastpath=False
         )
         first = artifact_from_scenario_run(spec.resolved().run(), source="x")
         second = artifact_from_scenario_run(spec.resolved().run(), source="x")
@@ -157,7 +150,7 @@ class TestBenchBuilder:
             "e2e_nat_linerate",
             metrics={"sim_pps": 123456.0, "delivered.packets": 99},
             seed=1,
-            knobs={"fastpath": True, "batch_size": 16},
+            knobs={"engine_config": EngineConfig("batched", True, 16).to_dict()},
             summary={"speedup": 3.4},
             wall_s=1.25,
         )
@@ -182,10 +175,10 @@ class TestLoadArtifact:
         loaded = load_artifact(path)
         assert diff_artifacts(loaded, fleet_artifact).identical
 
-    def test_load_upgrades_legacy_fleet_document(self, tmp_path):
+    def test_load_upgrades_fleet1_document(self, tmp_path):
         spec = ScenarioSpec(
-            kind="nat-linerate", seed=5, shards=2, fastpath=False, batch_size=1
-        )
+        kind="nat-linerate", seed=5, shards=2, engine="reference", fastpath=False
+    )
         result = run_sharded(spec, workers=1)
         legacy = tmp_path / "fleet.json"
         legacy.write_text(json_document(SCHEMA_FLEET, **result.to_dict()) + "\n")
@@ -194,6 +187,20 @@ class TestLoadArtifact:
         # The upgraded view is semantically identical to the native one.
         diff = diff_artifacts(upgraded, result.to_artifact())
         assert not diff.diverged
+
+    def test_load_pre_engine_fleet_document_infers_tier(self, tmp_path):
+        # fleet/1 specs written before the engine tier existed carry
+        # only a batch size; the reader maps it onto the tier it ran.
+        legacy = tmp_path / "fleet.json"
+        spec = {"kind": "nat-linerate", "seed": 1, "fastpath": True, "batch_size": 16}
+        legacy.write_text(json_document(SCHEMA_FLEET, spec=spec, shards=[]) + "\n")
+        knobs = load_artifact(legacy).knobs
+        assert knobs["engine"] == "batched"
+        assert knobs["engine_config"] == {
+            "tier": "batched",
+            "fastpath": True,
+            "batch_size": 16,
+        }
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
@@ -204,13 +211,3 @@ class TestLoadArtifact:
         bad.write_text("{truncated")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_artifact(bad)
-
-
-class TestLegacyFleetView:
-    def test_fleet_view_shape_and_deprecation(self, fleet_artifact):
-        with pytest.warns(DeprecationWarning, match="fleet_view"):
-            view = fleet_view(fleet_artifact)
-        assert view["schema"] == SCHEMA_FLEET
-        assert view["merged_metrics"] == fleet_artifact.metrics
-        assert view["digests"] == list(fleet_artifact.digests)
-        assert len(view["shards"]) == len(fleet_artifact.shards)

@@ -1,6 +1,7 @@
 """The flexsfp command-line interface."""
 
 import json
+import warnings
 
 import pytest
 
@@ -168,16 +169,6 @@ class TestJsonOutput:
         assert doc["findings"], "fault plan events missing"
         assert doc["summary"]["packets_sent"] > 0
 
-    def test_chaos_json_legacy_table(self, capsys):
-        code, doc = run_json(
-            capsys, "chaos", "smoke", "--seed", "3", "--legacy-table"
-        )
-        assert code == 0
-        assert doc["schema"] == "flexsfp.table/1"
-        assert doc["plan"] == "smoke" and doc["seed"] == 3
-        assert doc["events"], "fault plan events missing"
-        assert doc["result"]["packets_sent"] > 0
-
     def test_metrics_json(self, capsys):
         code, doc = run_json(capsys, "metrics")
         assert code == 0
@@ -212,7 +203,7 @@ class TestRunSubcommand:
         # Pin the engine selection: the assertion below expects the
         # reference tier, so a forced-fastpath environment (the CI job
         # that reruns the suite under FLEXSFP_FASTPATH=1) must not leak in.
-        for var in ("FLEXSFP_FASTPATH", "FLEXSFP_BATCH", "FLEXSFP_ENGINE"):
+        for var in ("FLEXSFP_FASTPATH", "FLEXSFP_ENGINE"):
             monkeypatch.delenv(var, raising=False)
         code, doc = run_json(
             capsys, "run", "--scenario", "nat-linerate", "--shards", "2",
@@ -228,16 +219,6 @@ class TestRunSubcommand:
         assert doc["spec_digest"] and doc["knobs"]["engine"] == "reference"
         assert doc["metrics"]["fiber.rx.packets"] > 0
         assert "module0.ppe.nat.latency_ns" in doc["histograms"]
-
-    def test_run_json_legacy_fleet(self, capsys):
-        code, doc = run_json(
-            capsys, "run", "--scenario", "nat-linerate", "--shards", "2",
-            "--workers", "1", "--seed", "3", "--legacy-fleet",
-        )
-        assert code == 0
-        assert doc["schema"] == "flexsfp.fleet/1"
-        assert doc["digests"] == [s["digest"] for s in doc["shards"]]
-        assert doc["merged_metrics"]["fiber.rx.packets"] > 0
 
     def test_run_text_table(self, capsys):
         code, out, _ = run(
@@ -389,28 +370,26 @@ class TestDeprecationGate:
 
     def test_metrics_gate_fails_on_deprecated_call(self, capsys, monkeypatch):
         import repro.cli as cli_module
-        from repro._util import warn_deprecated
         from repro.obs import ScenarioSpec
 
         class NoisySpec(ScenarioSpec):
             def run(self):
-                warn_deprecated("stats()", "metric_values()")
+                warnings.warn("stats() is deprecated", DeprecationWarning)
                 return super().run()
 
         monkeypatch.setattr(cli_module, "ScenarioSpec", NoisySpec)
         code, _, err = run(capsys, "metrics", "--fail-on-deprecated")
         assert code == 3
-        assert "stats() is deprecated" in err
+        assert "deprecated: stats() is deprecated" in err
         assert "1 deprecated call(s)" in err
 
     def test_without_gate_deprecated_calls_tolerated(self, capsys, monkeypatch):
         import repro.cli as cli_module
-        from repro._util import warn_deprecated
         from repro.obs import ScenarioSpec
 
         class NoisySpec(ScenarioSpec):
             def run(self):
-                warn_deprecated("stats()", "metric_values()")
+                warnings.warn("stats() is deprecated", DeprecationWarning)
                 return super().run()
 
         monkeypatch.setattr(cli_module, "ScenarioSpec", NoisySpec)

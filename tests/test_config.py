@@ -10,6 +10,7 @@ from repro.config import (
     parse_int,
 )
 from repro.core import FlexSFPModule
+from repro.engine import DEFAULT_BATCHED_SIZE, EngineConfig
 from repro.sim import Simulator
 from repro.nfv import Deployment
 
@@ -59,8 +60,8 @@ class TestSettings:
     def test_defaults_from_empty_env(self):
         settings = Settings.from_env({})
         assert settings == Settings()
+        assert settings.engine is None
         assert settings.fastpath is False
-        assert settings.batch_size == 1
         assert settings.metrics_dir is None
         assert settings.workers is None
         assert settings.start_method is None
@@ -71,8 +72,8 @@ class TestSettings:
     def test_full_env(self):
         settings = Settings.from_env(
             {
+                "FLEXSFP_ENGINE": "batched",
                 "FLEXSFP_FASTPATH": "yes",
-                "FLEXSFP_BATCH": "16",
                 "FLEXSFP_METRICS_DIR": "out/metrics",
                 "FLEXSFP_WORKERS": "4",
                 "FLEXSFP_MP_START": "spawn",
@@ -81,8 +82,8 @@ class TestSettings:
                 "FLEXSFP_RETRY_BACKOFF": "0.5",
             }
         )
+        assert settings.engine == "batched"
         assert settings.fastpath is True
-        assert settings.batch_size == 16
         assert settings.metrics_dir == Path("out/metrics")
         assert settings.workers == 4
         assert settings.start_method == "spawn"
@@ -93,8 +94,8 @@ class TestSettings:
     def test_malformed_env_degrades_not_raises(self):
         settings = Settings.from_env(
             {
+                "FLEXSFP_ENGINE": "warp",
                 "FLEXSFP_FASTPATH": "maybe",
-                "FLEXSFP_BATCH": "lots",
                 "FLEXSFP_WORKERS": "-3",
                 "FLEXSFP_MP_START": "teleport",
                 "FLEXSFP_SHARD_TIMEOUT": "forever",
@@ -103,9 +104,6 @@ class TestSettings:
             }
         )
         assert settings == Settings()
-
-    def test_batch_clamped_to_one(self):
-        assert Settings.from_env({"FLEXSFP_BATCH": "0"}).batch_size == 1
 
     def test_zero_shard_timeout_means_disabled(self):
         settings = Settings.from_env({"FLEXSFP_SHARD_TIMEOUT": "0"})
@@ -116,31 +114,30 @@ class TestSettings:
 
     def test_with_overrides(self):
         base = Settings()
-        tuned = base.with_overrides(fastpath=True, batch_size=8)
-        assert (tuned.fastpath, tuned.batch_size) == (True, 8)
+        tuned = base.with_overrides(engine="batched", fastpath=True)
+        assert (tuned.engine, tuned.fastpath) == ("batched", True)
         assert base == Settings()  # frozen: original untouched
 
     def test_get_settings_reads_process_env(self, monkeypatch):
-        monkeypatch.setenv("FLEXSFP_BATCH", "32")
-        assert get_settings().batch_size == 32
-        monkeypatch.delenv("FLEXSFP_BATCH")
-        assert get_settings().batch_size == 1
+        monkeypatch.setenv("FLEXSFP_ENGINE", "compiled")
+        assert get_settings().engine == "compiled"
+        monkeypatch.delenv("FLEXSFP_ENGINE")
+        assert get_settings().engine is None
 
 
 class TestModuleResolution:
     """The module resolves one Settings object at construction."""
 
     def test_env_settings_apply_when_args_none(self):
-        module = make_module({"FLEXSFP_FASTPATH": "1", "FLEXSFP_BATCH": "8"})
+        module = make_module({"FLEXSFP_ENGINE": "batched", "FLEXSFP_FASTPATH": "1"})
         assert module.fastpath is True
-        assert module.batch_size == 8
+        assert module.batch_size == DEFAULT_BATCHED_SIZE
         assert module.flow_cache is not None
 
     def test_explicit_args_beat_settings(self):
         module = make_module(
-            {"FLEXSFP_FASTPATH": "1", "FLEXSFP_BATCH": "8"},
-            fastpath=False,
-            batch_size=2,
+            {"FLEXSFP_ENGINE": "compiled", "FLEXSFP_FASTPATH": "1"},
+            engine=EngineConfig(tier="batched", fastpath=False, batch_size=2),
         )
         assert module.fastpath is False
         assert module.batch_size == 2
@@ -149,9 +146,9 @@ class TestModuleResolution:
     def test_process_env_respected_by_default(self, monkeypatch):
         from repro.apps import StaticNat
 
-        monkeypatch.setenv("FLEXSFP_BATCH", "4")
+        monkeypatch.setenv("FLEXSFP_ENGINE", "batched")
         sim = Simulator()
         nat = StaticNat(capacity=16)
         nat.add_mapping("10.0.0.1", "198.51.100.1")
         module = FlexSFPModule(sim, "dut", Deployment.solo(nat))
-        assert module.batch_size == 4
+        assert module.batch_size == DEFAULT_BATCHED_SIZE

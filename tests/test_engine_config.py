@@ -1,16 +1,17 @@
 """The typed Engine API: EngineConfig validation, resolution, conflicts.
 
-One frozen :class:`~repro.engine.EngineConfig` replaces the scattered
-``fastpath``/``batch_size`` knobs.  These tests pin the construction
-rules (a config that exists is runnable), the resolution precedence
-(explicit config > tier name > ``FLEXSFP_ENGINE`` env > legacy knobs),
-the module/CLI conflict diagnostics, and the spec/artifact plumbing that
-records the resolved selection.
+One frozen :class:`~repro.engine.EngineConfig` is the only way to pick
+an engine.  These tests pin the construction rules (a config that
+exists is runnable), the resolution precedence (explicit config > tier
+name > ``FLEXSFP_ENGINE`` env > ``reference``), the deprecation gate on
+the CLI scenario path, and the spec/artifact plumbing that records the
+resolved selection.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.engine import (
     ENGINES,
     EngineConfig,
     engine_batch_size,
-    engine_name,
     resolve_engine,
 )
 from repro.errors import ConfigError
@@ -79,7 +79,7 @@ class TestEngineConfig:
 class TestResolution:
     def test_explicit_config_wins(self):
         config = EngineConfig(tier="batched", batch_size=4)
-        assert resolve_engine(config, fastpath=True, batch_size=99) is config
+        assert resolve_engine(config, settings=Settings(engine="compiled")) is config
 
     def test_tier_name_fills_defaults(self):
         settings = Settings()
@@ -88,12 +88,11 @@ class TestResolution:
         assert config.fastpath is True  # compiled implies the flow cache
         assert config.batch_size == DEFAULT_BATCHED_SIZE
 
-    def test_legacy_knobs_select_legacy_tiers(self):
-        settings = Settings()
-        assert resolve_engine(None, False, 1, settings).tier == "reference"
-        assert resolve_engine(None, True, 16, settings) == EngineConfig(
-            tier="batched", fastpath=True, batch_size=16
-        )
+    def test_no_tier_named_is_reference(self):
+        assert resolve_engine(None, settings=Settings()) == EngineConfig()
+        assert resolve_engine(
+            None, settings=Settings(fastpath=True)
+        ) == EngineConfig(fastpath=True)
 
     def test_env_engine_is_used_when_no_argument(self):
         settings = Settings(engine="batched")
@@ -102,8 +101,6 @@ class TestResolution:
         assert resolve_engine("reference", settings=settings).tier == "reference"
 
     def test_helpers(self):
-        assert engine_name(None) == "reference"
-        assert engine_name(16) == "batched"
         assert engine_batch_size("reference") == 1
         assert engine_batch_size("compiled", 32) == 32
         with pytest.raises(ConfigError):
@@ -111,18 +108,6 @@ class TestResolution:
 
 
 class TestModuleConflicts:
-    def test_engine_plus_legacy_knobs_rejected(self):
-        with pytest.raises(ConfigError, match="conflicts with the legacy"):
-            FlexSFPModule(
-                Simulator(), "dut", Deployment.solo(make_nat()), engine="reference", fastpath=True
-            )
-
-    def test_engine_plus_batch_size_rejected(self):
-        with pytest.raises(ConfigError, match="conflicts with the legacy"):
-            FlexSFPModule(
-                Simulator(), "dut", Deployment.solo(make_nat()), engine="batched", batch_size=8
-            )
-
     def test_engine_config_carries_options(self):
         module = FlexSFPModule(
             Simulator(),
@@ -133,15 +118,6 @@ class TestModuleConflicts:
         assert module.batch_size == 32
         assert module.fastpath is True
         assert module.program is not None
-
-    def test_legacy_knobs_still_work(self):
-        module = FlexSFPModule(
-            Simulator(), "dut", Deployment.solo(make_nat()), fastpath=True, batch_size=8
-        )
-        assert module.engine_config == EngineConfig(
-            tier="batched", fastpath=True, batch_size=8
-        )
-        assert module.program is None
 
 
 class TestScenarioSpecEngine:
@@ -167,11 +143,11 @@ class TestScenarioSpecEngine:
         )
         assert once.resolved(settings) == once
 
-    def test_legacy_spec_knobs_resolve_to_tier(self):
-        spec = ScenarioSpec(
-            kind="nat-linerate", fastpath=True, batch_size=16
-        ).resolved(Settings())
-        assert spec.engine == "batched"
+    def test_batch_size_needs_a_batched_tier(self):
+        spec = ScenarioSpec(kind="nat-linerate", fastpath=True, batch_size=16)
+        with pytest.raises(ConfigError, match="batch_size must be 1"):
+            spec.resolved(Settings())
+        assert spec.resolved(Settings(engine="batched")).engine == "batched"
 
     def test_round_trips_through_dict(self):
         spec = ScenarioSpec(kind="nat-linerate", engine="compiled").resolved(
@@ -185,29 +161,6 @@ class TestCliConflicts:
         code = main(list(argv))
         captured = capsys.readouterr()
         return code, captured.out, captured.err
-
-    def test_engine_plus_fastpath_exits_2(self, capsys):
-        code, _, err = self.run(
-            capsys, "metrics", "--engine", "reference", "--fastpath"
-        )
-        assert code == 2
-        assert "--engine conflicts" in err
-
-    def test_engine_plus_batch_exits_2(self, capsys):
-        code, _, err = self.run(
-            capsys,
-            "run",
-            "--scenario",
-            "nat-linerate",
-            "--shards",
-            "1",
-            "--engine",
-            "compiled",
-            "--batch",
-            "8",
-        )
-        assert code == 2
-        assert "--engine conflicts" in err
 
     def test_engine_flag_lands_in_artifact_knobs(self, capsys):
         code, out, _ = self.run(
@@ -230,12 +183,17 @@ class TestCliConflicts:
             "batch_size": DEFAULT_BATCHED_SIZE,
         }
 
-    def test_legacy_flags_warn_under_the_gate(self, capsys):
-        code, _, err = self.run(
-            capsys, "metrics", "--fastpath", "--fail-on-deprecated"
-        )
+    def test_gate_catches_warning_on_engine_resolution(self, capsys, monkeypatch):
+        import repro.obs.scenario as scenario
+
+        def noisy_resolve(*args, **kwargs):
+            warnings.warn("old engine spelling", DeprecationWarning)
+            return resolve_engine(*args, **kwargs)
+
+        monkeypatch.setattr(scenario, "resolve_engine", noisy_resolve)
+        code, _, err = self.run(capsys, "metrics", "--fail-on-deprecated")
         assert code == 3
-        assert "deprecated" in err
+        assert "deprecated: old engine spelling" in err
 
     def test_bare_metrics_is_deprecation_clean(self, capsys):
         code, _, _ = self.run(capsys, "metrics", "--fail-on-deprecated")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.apps import APP_FACTORIES, create_app
 from repro.core import FlexSFPModule
+from repro.engine import EngineConfig
 from repro.netem import ImixSource
 from repro.packet import make_dns_query, make_tcp, make_udp, make_udp6
 from repro.sim import Port, Simulator, connect
@@ -24,7 +25,8 @@ KEY = b"differential-key"
 RUN_S = 0.3e-3
 RATE_BPS = 5e9
 SEED = 7
-BATCH = 16
+REFERENCE = EngineConfig()
+FASTPATH = EngineConfig(tier="batched", fastpath=True, batch_size=16)
 
 # Applications whose ``decide`` actually produces cacheable recipes for
 # plain IPv4 traffic; for these the fast run must also record cache hits
@@ -67,15 +69,14 @@ def make_factory(seed: int):
     return factory
 
 
-def run_app(name: str, fastpath: bool, batch_size: int) -> tuple[dict, object]:
+def run_app(name: str, engine: EngineConfig) -> tuple[dict, object]:
     sim = Simulator()
     app = create_app(name)
     if name == "nat":
         for src in SRC_IPS:
             app.add_mapping(src, src.replace("10.0.0.", "198.51.100."))
-    module = FlexSFPModule(
-        sim, "dut", Deployment.solo(app), auth_key=KEY, fastpath=fastpath, batch_size=batch_size
-    )
+    module = FlexSFPModule(sim, "dut", Deployment.solo(app), auth_key=KEY, engine=engine)
+    batch_size = engine.batch_size
     host = Port(
         sim, "host", 10e9, queue_bytes=1 << 20, coalesce=batch_size > 1
     )
@@ -109,8 +110,8 @@ def run_app(name: str, fastpath: bool, batch_size: int) -> tuple[dict, object]:
 
 @pytest.mark.parametrize("name", sorted(APP_FACTORIES))
 def test_fastpath_matches_reference(name):
-    reference, _ = run_app(name, fastpath=False, batch_size=1)
-    fast, module = run_app(name, fastpath=True, batch_size=BATCH)
+    reference, _ = run_app(name, REFERENCE)
+    fast, module = run_app(name, FASTPATH)
     assert fast == reference, name
     # The run processed real traffic (not a vacuous comparison)...
     assert reference["processed"]["packets"] > 50, name
@@ -124,8 +125,10 @@ def test_fastpath_matches_reference(name):
 
 def test_batching_alone_matches_reference():
     """Batched execution with the cache off is also result-identical."""
-    reference, _ = run_app("nat", fastpath=False, batch_size=1)
-    batched, module = run_app("nat", fastpath=False, batch_size=BATCH)
+    reference, _ = run_app("nat", REFERENCE)
+    batched, module = run_app(
+        "nat", EngineConfig(tier="batched", fastpath=False, batch_size=16)
+    )
     assert module.ppe.flow_cache is None
     assert batched == reference
 
@@ -143,14 +146,14 @@ def test_midrun_table_write_matches_reference():
     from repro.apps import StaticNat
     from repro.netem import CbrSource
 
-    def run(fastpath: bool, batch_size: int) -> tuple[list[str], object]:
+    def run(engine: EngineConfig) -> tuple[list[str], object]:
         sim = Simulator()
         nat = StaticNat()
         nat.add_mapping("10.0.0.1", "198.51.100.1")
         module = FlexSFPModule(
-            sim, "dut", Deployment.solo(nat), auth_key=KEY,
-            fastpath=fastpath, batch_size=batch_size,
+            sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine
         )
+        batch_size = engine.batch_size
         host = Port(
             sim, "host", 10e9, queue_bytes=1 << 22, coalesce=batch_size > 1
         )
@@ -183,8 +186,8 @@ def test_midrun_table_write_matches_reference():
         sim.run(until=3e-4)
         return seen, module
 
-    reference, _ = run(fastpath=False, batch_size=1)
-    fast, module = run(fastpath=True, batch_size=8)
+    reference, _ = run(REFERENCE)
+    fast, module = run(EngineConfig(tier="batched", fastpath=True, batch_size=8))
     assert reference == fast
     # Both translations were actually observed (the write landed mid-run)
     # and the cache both engaged and invalidated across the write.

@@ -51,12 +51,12 @@ def _scenario_artifact(spec: ScenarioSpec) -> RunArtifact:
 GOLDEN_CASES = {
     "nat-linerate_seed11_reference": lambda: _fleet_artifact(
         ScenarioSpec(
-            kind="nat-linerate", seed=11, shards=1, fastpath=False, batch_size=1
+            kind="nat-linerate", seed=11, shards=1, engine="reference", fastpath=False
         )
     ),
     "nat-linerate_seed11_fastpath_batched": lambda: _fleet_artifact(
         ScenarioSpec(
-            kind="nat-linerate", seed=11, shards=1, fastpath=True, batch_size=16
+            kind="nat-linerate", seed=11, shards=1, engine="batched", fastpath=True
         )
     ),
     "nat-linerate_seed11_compiled": lambda: _fleet_artifact(
@@ -64,7 +64,7 @@ GOLDEN_CASES = {
     ),
     "nat-linerate_seed11_shards2": lambda: _fleet_artifact(
         ScenarioSpec(
-            kind="nat-linerate", seed=11, shards=2, fastpath=False, batch_size=1
+            kind="nat-linerate", seed=11, shards=2, engine="reference", fastpath=False
         )
     ),
     "chaos_smoke_seed7": lambda: _scenario_artifact(
@@ -73,8 +73,8 @@ GOLDEN_CASES = {
             fault_plan="smoke",
             seed=7,
             shards=1,
+            engine="reference",
             fastpath=False,
-            batch_size=1,
         )
     ),
     # Multi-tenant crossbar steering: pins the deployment knob block,
@@ -84,8 +84,8 @@ GOLDEN_CASES = {
             kind="nfv-chain",
             seed=3,
             shards=1,
+            engine="reference",
             fastpath=False,
-            batch_size=1,
             traffic=TrafficProfile(rate_bps=20e6, frame_len=256, duration_s=0.2),
         )
     ),
@@ -129,7 +129,7 @@ def test_golden_files_are_valid_run_documents(name: str) -> None:
 def test_golden_spec_digest_stable_across_regeneration() -> None:
     """Same seed, two fresh runs: identical spec digest AND golden bytes."""
     spec = ScenarioSpec(
-        kind="nat-linerate", seed=11, shards=1, fastpath=False, batch_size=1
+        kind="nat-linerate", seed=11, shards=1, engine="reference", fastpath=False
     )
     first = _fleet_artifact(spec)
     second = _fleet_artifact(spec)

@@ -17,6 +17,7 @@ import json
 
 from repro.apps import StaticNat
 from repro.core import Direction, FlexSFPModule, PacketProcessingEngine, Verdict
+from repro.engine import EngineConfig
 from repro.faults import run_gauntlet
 from repro.fpga import TimingSpec
 from repro.netem import CbrSource
@@ -26,11 +27,11 @@ from repro.nfv import Deployment
 
 KEY = b"golden-key"
 RUN_S = 0.2e-3
+REFERENCE = EngineConfig()
+FASTPATH = EngineConfig(tier="batched", fastpath=True, batch_size=16)
 
 
-def nat_linerate_stats(
-    fastpath: bool, batch_size: int, observe: str | None = None
-) -> bytes:
+def nat_linerate_stats(engine: EngineConfig, observe: str | None = None) -> bytes:
     """Quick config of the §5.1 NAT line-rate scenario, stats as JSON.
 
     ``observe`` optionally attaches the observability layer: ``"registry"``
@@ -42,9 +43,8 @@ def nat_linerate_stats(
     sim = Simulator()
     nat = StaticNat(capacity=1024)
     nat.add_mapping("10.0.0.1", "198.51.100.1")
-    module = FlexSFPModule(
-        sim, "dut", Deployment.solo(nat), auth_key=KEY, fastpath=fastpath, batch_size=batch_size
-    )
+    module = FlexSFPModule(sim, "dut", Deployment.solo(nat), auth_key=KEY, engine=engine)
+    batch_size = engine.batch_size
     if observe is not None:
         from repro.obs import MetricsRegistry, Tracer
 
@@ -84,33 +84,33 @@ def nat_linerate_stats(
 
 class TestGoldenDeterminism:
     def test_nat_linerate_reference_engine(self):
-        first = nat_linerate_stats(fastpath=False, batch_size=1)
-        second = nat_linerate_stats(fastpath=False, batch_size=1)
+        first = nat_linerate_stats(REFERENCE)
+        second = nat_linerate_stats(REFERENCE)
         assert first == second
 
     def test_nat_linerate_fastpath_engine(self):
-        first = nat_linerate_stats(fastpath=True, batch_size=16)
-        second = nat_linerate_stats(fastpath=True, batch_size=16)
+        first = nat_linerate_stats(FASTPATH)
+        second = nat_linerate_stats(FASTPATH)
         assert first == second
 
     def test_observability_off_reference_engine_byte_identical(self):
-        baseline = nat_linerate_stats(fastpath=False, batch_size=1)
+        baseline = nat_linerate_stats(REFERENCE)
         registered = nat_linerate_stats(
-            fastpath=False, batch_size=1, observe="registry"
+            REFERENCE, observe="registry"
         )
         tracer_off = nat_linerate_stats(
-            fastpath=False, batch_size=1, observe="tracer-off"
+            REFERENCE, observe="tracer-off"
         )
         assert registered == baseline
         assert tracer_off == baseline
 
     def test_observability_off_fastpath_engine_byte_identical(self):
-        baseline = nat_linerate_stats(fastpath=True, batch_size=16)
+        baseline = nat_linerate_stats(FASTPATH)
         registered = nat_linerate_stats(
-            fastpath=True, batch_size=16, observe="registry"
+            FASTPATH, observe="registry"
         )
         tracer_off = nat_linerate_stats(
-            fastpath=True, batch_size=16, observe="tracer-off"
+            FASTPATH, observe="tracer-off"
         )
         assert registered == baseline
         assert tracer_off == baseline
@@ -133,8 +133,7 @@ class TestGoldenDeterminism:
                 plan="smoke",
                 duration_s=0.4,
                 traffic_bps=20e6,
-                fastpath=True,
-                batch_size=8,
+                engine=EngineConfig(tier="batched", fastpath=True, batch_size=8),
             )
             for _ in range(2)
         ]
@@ -202,6 +201,6 @@ class TestVerificationNeutrality:
         assert with_verify.bitstream.to_bytes() == without.bitstream.to_bytes()
 
     def test_verify_flag_is_stats_neutral(self):
-        assert nat_linerate_stats(fastpath=False, batch_size=1) == (
-            nat_linerate_stats(fastpath=False, batch_size=1)
+        assert nat_linerate_stats(REFERENCE) == (
+            nat_linerate_stats(REFERENCE)
         )

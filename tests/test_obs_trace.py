@@ -110,7 +110,7 @@ class TestScenarioTracing:
 
     def test_batched_engine_traces_same_stages(self):
         run = ScenarioSpec(
-            trace_packets=1, fastpath=True, batch_size=8
+            trace_packets=1, engine="batched", fastpath=True, batch_size=8
         ).run()
         assert run.tracer.stages(0) == PIPELINE
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import DEFAULT_BATCHED_SIZE
 from repro.errors import ConfigError
 from repro.obs import ScenarioSpec, TrafficProfile
 from repro.parallel import (
@@ -140,9 +141,9 @@ class TestSpecPlumbing:
     def test_resolution_happens_in_parent(self, monkeypatch):
         # Env knobs fold into the spec before fan-out: the resolved spec
         # the workers execute carries concrete values, never None.
-        monkeypatch.setenv("FLEXSFP_BATCH", "4")
+        monkeypatch.setenv("FLEXSFP_ENGINE", "batched")
         monkeypatch.delenv("FLEXSFP_FASTPATH", raising=False)
-        monkeypatch.delenv("FLEXSFP_ENGINE", raising=False)
         result = run_sharded(NAT, workers=1)
-        assert result.spec.batch_size == 4
+        assert result.spec.engine == "batched"
+        assert result.spec.batch_size == DEFAULT_BATCHED_SIZE
         assert result.spec.fastpath is False

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.config import Settings
+from repro.engine import DEFAULT_BATCHED_SIZE
 from repro.errors import ConfigError
-from repro.obs import (
-    SCENARIO_KINDS,
-    ScenarioSpec,
-    TrafficProfile,
-    run_scenario,
-)
+from repro.obs import SCENARIO_KINDS, ScenarioSpec, TrafficProfile
 
 
 class TestValidation:
@@ -45,18 +41,19 @@ class TestValidation:
 class TestResolution:
     def test_fills_traffic_and_knobs_from_settings(self):
         spec = ScenarioSpec(kind="chaos")
-        resolved = spec.resolved(Settings(fastpath=True, batch_size=8))
+        resolved = spec.resolved(Settings(engine="batched", fastpath=True))
         assert resolved.traffic == TrafficProfile(
             rate_bps=50e6, frame_len=512, duration_s=1.5
         )
+        assert resolved.engine == "batched"
         assert resolved.fastpath is True
-        assert resolved.batch_size == 8
+        assert resolved.batch_size == DEFAULT_BATCHED_SIZE
         assert resolved.fault_plan == "smoke"
 
     def test_explicit_values_win(self):
         traffic = TrafficProfile(duration_s=0.5)
         spec = ScenarioSpec(traffic=traffic, fastpath=False, batch_size=2)
-        resolved = spec.resolved(Settings(fastpath=True, batch_size=16))
+        resolved = spec.resolved(Settings(engine="batched", fastpath=True))
         assert resolved.traffic is traffic
         assert resolved.fastpath is False
         assert resolved.batch_size == 2
@@ -117,29 +114,3 @@ class TestRuns:
         assert run.summary["delivered"]["packets"] > 0
         assert run.metrics()["sim.events"] > 0
 
-
-class TestLegacyShim:
-    def test_run_scenario_warns(self):
-        with pytest.deprecated_call(match="run_scenario"):
-            run_scenario("nat-linerate")
-
-    def test_shim_matches_spec_run(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_scenario("nat-linerate", trace_packets=1)
-        modern = ScenarioSpec(trace_packets=1).run()
-        assert legacy.digest() == modern.digest()
-        assert legacy.metrics() == modern.metrics()
-
-    def test_shim_maps_traffic_kwargs(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_scenario("nat-linerate", duration_s=0.1e-3)
-        modern = ScenarioSpec(
-            traffic=TrafficProfile(duration_s=0.1e-3)
-        ).run()
-        assert legacy.digest() == modern.digest()
