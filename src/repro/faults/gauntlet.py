@@ -18,7 +18,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from ..engine import EngineConfig
+from ..engine import EngineConfig, resolve_engine
 from ..errors import ConfigError
 from ..fleet import FleetController
 from ..netem import CbrSource, LossyWire
@@ -214,7 +214,8 @@ def run_gauntlet(
     controller, fault injector, host/sink ports — and ``tracer``
     optionally attaches per-packet stage tracing to the module; both are
     pull-based/off-by-default and do not perturb the simulation (the
-    golden determinism suite pins this).
+    golden determinism suite pins this).  Every port in the topology
+    runs on ``engine``'s tier: on the batched tiers each hop is one event.
     """
     if isinstance(plan, str):
         builder = NAMED_PLANS.get(plan)
@@ -227,8 +228,9 @@ def run_gauntlet(
     else:
         plan_name = "custom"
 
+    config = resolve_engine(engine)
     sim = Simulator()
-    switch = LegacySwitch(sim, "agg", num_ports=3, rate_bps=10e9)
+    switch = LegacySwitch(sim, "agg", num_ports=3, rate_bps=10e9, engine=config)
     retrofit_plan = RetrofitPlan()
     retrofit_plan.assign(
         1,
@@ -243,24 +245,32 @@ def run_gauntlet(
         switch,
         retrofit_plan,
         auth_key=KEY,
-        engine=engine,
+        engine=config,
     )
     module = retrofit.module_at(1)
 
     controller = FleetController(
-        sim, auth_key=KEY, retry_seed=_derived_seed(seed, "retry")
+        sim, auth_key=KEY, retry_seed=_derived_seed(seed, "retry"), engine=config
     )
     mgmt_wire = LossyWire(
-        sim, MGMT_LINK, rate_bps=1e9, seed=_derived_seed(seed, MGMT_LINK)
+        sim,
+        MGMT_LINK,
+        rate_bps=1e9,
+        seed=_derived_seed(seed, MGMT_LINK),
+        engine=config,
     )
     controller.port.connect(mgmt_wire.a)
     mgmt_wire.b.connect(switch.external_port(0))
 
     line_wire = LossyWire(
-        sim, LINE_LINK, rate_bps=10e9, seed=_derived_seed(seed, LINE_LINK)
+        sim,
+        LINE_LINK,
+        rate_bps=10e9,
+        seed=_derived_seed(seed, LINE_LINK),
+        engine=config,
     )
     line_wire.a.connect(switch.external_port(1))
-    sink = Port(sim, "sink", rate_bps=10e9)
+    sink = Port(sim, "sink", rate_bps=10e9, coalesce=config.batched)
     sink.connect(line_wire.b)
     received = [0]
     sink.attach(
@@ -269,17 +279,24 @@ def run_gauntlet(
         else None
     )
 
-    host = Port(sim, "host", rate_bps=10e9, queue_bytes=1 << 22)
+    host = Port(
+        sim, "host", rate_bps=10e9, queue_bytes=1 << 22, coalesce=config.batched
+    )
     host.connect(switch.external_port(2))
+    # Every CBR frame is the same: copy one template instead of building
+    # each frame's headers from scratch.
+    template = make_udp(
+        src_ip="10.0.0.1", dst_ip="8.8.8.8", payload=bytes(max(0, frame_len - 42))
+    )
     source = CbrSource(
         sim,
         host,
         rate_bps=traffic_bps,
         frame_len=frame_len,
         stop=duration_s,
-        factory=lambda index, size: make_udp(
-            src_ip="10.0.0.1", dst_ip="8.8.8.8", payload=bytes(max(0, size - 42))
-        ),
+        factory=lambda index, size: template.copy(),
+        # A coalescing host reserves a batch of departures per tick.
+        burst=config.batch_size,
     )
 
     injector = FaultInjector(sim)

@@ -31,6 +31,7 @@ from typing import Callable
 
 from ._util import int_to_mac
 from .core.mgmt import MgmtMessage, MgmtOp, chunk_body, mgmt_frame
+from .engine import EngineConfig, resolve_engine
 from .errors import ControlPlaneError
 from .fpga.bitstream import Bitstream
 from .packet import Packet
@@ -88,7 +89,12 @@ class _Pending:
 
 
 class FleetController:
-    """The management-plane orchestrator."""
+    """The management-plane orchestrator.
+
+    ``engine`` (resolved like a module's) only sets simulation speed: on
+    the batched tiers the management port coalesces each hop into one
+    event.
+    """
 
     def __init__(
         self,
@@ -102,6 +108,7 @@ class FleetController:
         backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
         backoff_jitter: float = DEFAULT_BACKOFF_JITTER,
         retry_seed: int = 1,
+        engine: "EngineConfig | str | None" = None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -112,7 +119,12 @@ class FleetController:
         self.backoff_base_s = backoff_base_s
         self.backoff_jitter = backoff_jitter
         self._retry_rng = random.Random(retry_seed)
-        self.port = Port(sim, f"{name}.mgmt", rate_bps=rate_bps)
+        self.port = Port(
+            sim,
+            f"{name}.mgmt",
+            rate_bps=rate_bps,
+            coalesce=resolve_engine(engine).batched,
+        )
         self.port.attach(self._on_rx)
         self._seq = 0
         self._pending: dict[int, _Pending] = {}

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 
+from ..engine import EngineConfig, resolve_engine
 from ..errors import ConfigError
 from ..packet import Packet
 from ..sim.engine import Simulator
@@ -100,6 +101,9 @@ class ImpairedPort(Port):
         self._loss_burst = _Burst()
         self._corrupt_burst = _Burst()
         self._duplicate_burst = _Burst()
+        # A LossyWire endpoint re-sends what it receives out of the other
+        # endpoint, handing over the size it already knows.
+        self.relay: Port | None = None
         self.impairment_drops = Counter(f"{name}.impairment_drops")
         self.corrupted = Counter(f"{name}.corrupted")
         self.duplicated = Counter(f"{name}.duplicated")
@@ -135,7 +139,7 @@ class ImpairedPort(Port):
     # Receive path
     # ------------------------------------------------------------------
     def _deliver(self, packet: Packet, size: int) -> None:
-        now = self.sim.now
+        now = self.sim._now
         loss = self._loss_burst.effective(now, self.loss_probability)
         if now < self._dark_until or self._rng.random() < loss:
             self.impairment_drops.count(size)
@@ -161,14 +165,21 @@ class ImpairedPort(Port):
         # Darkness is re-checked at delivery time: a frame that arrived
         # before a flap must not surface inside the dark window its jitter
         # (or duplication gap) pushed it into.
-        now = self.sim.now
+        now = self.sim._now
         if now < self._dark_until:
             self.impairment_drops.count(size)
             return
         corrupt = self._corrupt_burst.effective(now, self.corrupt_probability)
         if corrupt and self._rng.random() < corrupt:
             packet = self._corrupt(packet)
-        super()._deliver(packet, size)
+        relay = self.relay
+        if relay is None:
+            super()._deliver(packet, size)
+            return
+        rx = self.rx
+        rx.packets += 1
+        rx.bytes += size
+        relay.send(packet, size)
 
     def _corrupt(self, packet: Packet) -> Packet:
         """Flip one payload byte (a bit error the FCS failed to catch)."""
@@ -196,6 +207,9 @@ class LossyWire:
         wire = LossyWire(sim, "mgmt", loss_probability=0.2, seed=9)
         controller.port.connect(wire.a)
         wire.b.connect(switch.external_port(0))
+
+    ``engine`` (resolved like a module's) only sets simulation speed: on
+    the batched tiers both endpoints coalesce each hop into one event.
     """
 
     def __init__(
@@ -208,9 +222,11 @@ class LossyWire:
         corrupt_probability: float = 0.0,
         duplicate_probability: float = 0.0,
         seed: int = 1,
+        engine: "EngineConfig | str | None" = None,
     ) -> None:
         self.sim = sim
         self.name = name
+        coalesce = resolve_engine(engine).batched
         self.a = ImpairedPort(
             sim,
             f"{name}.a",
@@ -220,6 +236,7 @@ class LossyWire:
             corrupt_probability=corrupt_probability,
             duplicate_probability=duplicate_probability,
             seed=seed,
+            coalesce=coalesce,
         )
         self.b = ImpairedPort(
             sim,
@@ -230,9 +247,10 @@ class LossyWire:
             corrupt_probability=corrupt_probability,
             duplicate_probability=duplicate_probability,
             seed=seed + 1,
+            coalesce=coalesce,
         )
-        self.a.attach(lambda port, packet: self.b.send(packet))
-        self.b.attach(lambda port, packet: self.a.send(packet))
+        self.a.relay = self.b
+        self.b.relay = self.a
 
     @property
     def endpoints(self) -> tuple[ImpairedPort, ImpairedPort]:

@@ -461,8 +461,11 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         sim.profiler = profiler
         registry.register("sim.profile", profiler)
 
+    config = spec.engine_config()
     num_ports = FLEET_UPGRADE_MODULES + 2  # + controller port + host port
-    switch = LegacySwitch(sim, "agg", num_ports=num_ports, rate_bps=10e9)
+    switch = LegacySwitch(
+        sim, "agg", num_ports=num_ports, rate_bps=10e9, engine=config
+    )
     plan = RetrofitPlan()
     for port in range(1, FLEET_UPGRADE_MODULES + 1):
         plan.assign(port, PortPolicy("passthrough"))
@@ -471,7 +474,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         switch,
         plan,
         auth_key=SCENARIO_KEY,
-        engine=spec.engine_config(),
+        engine=config,
     )
     retrofit.register_metrics(registry)
     registry.register("switch", switch)
@@ -480,6 +483,7 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         sim,
         auth_key=SCENARIO_KEY,
         retry_seed=derive_shard_seed(spec.seed, 0, label="fleet-retry"),
+        engine=config,
     )
     controller.port.connect(switch.external_port(0))
     controller.register_metrics(registry)
@@ -491,23 +495,28 @@ def _build_fleet_upgrade(spec: ScenarioSpec) -> ScenarioRun:
         registry.register("trace", tracer)
 
     # Background data traffic through the first retrofitted port.
-    sink = Port(sim, "sink", rate_bps=10e9)
+    sink = Port(sim, "sink", rate_bps=10e9, coalesce=config.batched)
     sink.connect(switch.external_port(1))
-    host = Port(sim, "host", rate_bps=10e9, queue_bytes=1 << 22)
+    host = Port(
+        sim, "host", rate_bps=10e9, queue_bytes=1 << 22, coalesce=config.batched
+    )
     host.connect(switch.external_port(FLEET_UPGRADE_MODULES + 1))
     registry.register("sink", sink)
     registry.register("host", host)
+    template = make_udp(
+        src_ip="10.0.0.1",
+        dst_ip="8.8.8.8",
+        payload=bytes(max(0, traffic.frame_len - 42)),
+    )
     CbrSource(
         sim,
         host,
         rate_bps=traffic.rate_bps,
         frame_len=traffic.frame_len,
         stop=traffic.duration_s,
-        factory=lambda index, size: make_udp(
-            src_ip="10.0.0.1",
-            dst_ip="8.8.8.8",
-            payload=bytes(max(0, size - 42)),
-        ),
+        factory=lambda index, size: template.copy(),
+        # A coalescing host reserves a batch of departures per tick.
+        burst=config.batch_size,
     )
 
     target = create_app(spec.app)

@@ -177,6 +177,18 @@ class Simulator:
         """Number of not-yet-cancelled queued events."""
         return sum(1 for entry in self._queue if not entry[2].cancelled)
 
+    def scheduled(self, *callbacks: Callable[..., Any]) -> list[EventHandle]:
+        """Live events whose callback is one of ``callbacks``, in firing
+        order (a scan of the whole queue: for rare, structural changes)."""
+        return [
+            entry[2]
+            for entry in sorted(
+                entry
+                for entry in self._queue
+                if not entry[2].cancelled and entry[2].callback in callbacks
+            )
+        ]
+
 
 class ServiceTimeline:
     """Analytic busy clock for a single server processing frames in batches.

@@ -10,6 +10,8 @@ and constant propagation delay.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from ..errors import ConfigError, SimulationError
 from ..packet import Packet
 from .burst import chain_reservations
-from .engine import ServiceTimeline, Simulator
+from .engine import EventHandle, ServiceTimeline, Simulator
 from .stats import Counter
 
 PacketHandler = Callable[["Port", Packet], None]
@@ -45,9 +47,8 @@ class Port:
     serialization start/finish times come from an analytic
     :class:`~repro.sim.engine.ServiceTimeline` whose arithmetic matches the
     event-per-frame schedule bit for bit, so delivery timestamps and
-    tail-drop decisions are unchanged.  The one behavioural approximation:
-    frames already reserved keep their delivery even if the link is
-    disconnected before their serialization would have started.
+    tail-drop decisions are unchanged.  :meth:`disconnect` loses the same
+    frames on both paths (see there).
 
     A receiver may additionally opt into *batched delivery* with
     ``batch_rx=True``: a coalescing sender then accumulates reservations
@@ -81,6 +82,7 @@ class Port:
         self.coalesce = coalesce
         self.batch_rx = batch_rx
         self._pending_rx: list[tuple[Packet, int, float]] = []
+        self._rx_flush_event: EventHandle | None = None
         # Optional bracketing callbacks a batch_rx owner may install: a
         # sender's flush calls begin before and end after handing over the
         # whole pending run, letting the receiver defer per-frame work
@@ -101,6 +103,11 @@ class Port:
         self._tx_fifo_bytes = 0
         self._tx_busy = False
         self._timeline = ServiceTimeline()
+        # Reservations drained from the timeline's queue by a later send
+        # due after their start, though they have not started yet: with
+        # the timeline they make up every frame not yet on the wire, which
+        # is what a link cut needs (see _cut).
+        self._ahead: deque[tuple[float, int, float, float]] = deque()
         self.tx = Counter(f"{name}.tx")
         self.rx = Counter(f"{name}.rx")
         self.drops = Counter(f"{name}.drops")
@@ -148,13 +155,126 @@ class Port:
         peer._propagation_s = propagation_s
 
     def disconnect(self) -> None:
-        """Tear down the link (queued frames are dropped)."""
-        if self._peer is not None:
-            self._peer._peer = None
+        """Tear down the link.
+
+        Both transmit paths lose the same frames.  For each direction, at
+        the cut time T:
+
+        * a frame that finished serializing by T still reaches the old peer;
+        * a frame being serialized at T counts as sent when it finishes and
+          reaches the peer the port has by then (with none, it is lost);
+        * frames queued on this port vanish uncounted, while the far end's
+          queue keeps serializing frames as if they were on the wire;
+        * a frame sent ahead (:meth:`send_delayed`, :meth:`send_at`) whose
+          send time is after T is sent at that time, over whatever link
+          exists then.
+
+        A batch-aware receiver keeps the frames a flush already handed it,
+        and a coalescing port reserves a frame when it is handed over, so a
+        frame sent ahead across a later reconnect may be reserved after
+        frames sent later (no producer in the simulator does that).
+        """
+        peer = self._peer
+        if peer is not None:
             self._peer = None
+            peer._peer = None
+            if self.coalesce:
+                self._cut(peer, near=True)
+            if peer.coalesce:
+                peer._cut(self, near=False)
         self._tx_fifo.clear()
         self._tx_fifo_bytes = 0
-        self._timeline.reset()
+
+    def _cut(self, old_peer: "Port", near: bool) -> None:
+        """Re-plan a coalescing port's in-flight frames at a link cut.
+
+        In-flight frames, oldest first, are the pending deliver events
+        (including frames an earlier cut left on the wire, but not those
+        it already sent to their old peer) followed by the batch lane.
+        They are the newest reservations, so aligning them with the
+        timeline's chain from the newest end gives each frame its times:
+        the reservations that start after the cut are a suffix of the
+        chain, and the frame before them is on the wire if it finishes
+        after the cut.  Everything older has finished serializing.
+        """
+        sim = self.sim
+        now = sim.now
+        if self._pending_bursts:
+            self._materialize_pending_bursts()
+        frames: list[tuple[Packet, int, float, EventHandle | None]] = [
+            (event.args[0], event.args[1], event.time, event)
+            for event in sim.scheduled(self._coalesced_deliver, self._finish_orphan)
+            if len(event.args) == 2
+        ]
+        if self._pending_rx:
+            self._rx_flush_event.cancel()
+            self._rx_flush_event = None
+            frames.extend((*entry, None) for entry in self._pending_rx)
+            self._pending_rx = []
+        timeline = self._timeline
+        reservations = timeline._pending
+        ahead = self._ahead
+        chain = [*ahead, *reservations]
+        split = len(chain)
+        while split and chain[split - 1][0] > now:
+            split -= 1
+        later = chain[split:]
+        wire_end = later[0][3] if later else timeline.free_at
+        offset = len(frames) - len(later)
+        finished: list[tuple[Packet, int, float]] = []
+        for index, (packet, size, when, event) in enumerate(frames):
+            position = index - offset
+            if position < -1 or (position == -1 and wire_end <= now):
+                # Done serializing: it reaches the peer it was sent to.
+                if event is None:
+                    finished.append((packet, size, when))
+                elif event.callback == self._coalesced_deliver:
+                    event.args = (packet, size, old_peer)
+                continue
+            if position == -1:
+                finish = wire_end
+            else:
+                start, _size, arrival, _chained = later[position]
+                following = position + 1
+                finish = (
+                    later[following][3] if following < len(later) else timeline.free_at
+                )
+                if arrival > now or (near and start > now):
+                    if event is not None:
+                        event.cancel()
+                    if arrival > now:
+                        sim.schedule_at(arrival, self.send, packet, size)
+                    continue
+            if event is not None:
+                if event.callback == self._finish_orphan:
+                    continue
+                event.cancel()
+            sim.schedule_at(finish, self._finish_orphan, packet, size)
+        if finished:
+            self._hand_over(old_peer, finished)
+        if near:
+            # The queue is gone; a frame on the wire keeps it busy.
+            timeline.reset()
+            ahead.clear()
+            if wire_end > now:
+                timeline.free_at = wire_end
+        else:
+            # Sends due after the cut left the chain; the rest still drains.
+            while reservations and reservations[-1][2] > now:
+                _start, size, _arrival, chained = reservations.pop()
+                timeline.pending_bytes -= size
+                timeline.free_at = chained
+            while ahead and ahead[-1][2] > now:
+                timeline.free_at = ahead.pop()[3]
+
+    def _finish_orphan(self, packet: Packet, size: int) -> None:
+        """Event-pair end of serialization for a frame a cut left running."""
+        tx = self.tx
+        tx.packets += 1
+        tx.bytes += size
+        peer = self._peer
+        if peer is not None:
+            self.sim.schedule(self._propagation_s, peer._deliver, packet, size)
 
     @property
     def connected(self) -> bool:
@@ -192,14 +312,18 @@ class Port:
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
-    def send(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` for transmission; False on tail drop."""
+    def send(self, packet: Packet, size: int | None = None) -> bool:
+        """Enqueue ``packet`` for transmission; False on tail drop.
+
+        ``size`` is the frame's wire length, for callers that have it.
+        """
+        if size is None:
+            size = packet.wire_len
         if self._peer is None:
-            self.drops.count(packet.wire_len)
+            self.drops.count(size)
             return False
         if self.coalesce:
-            return self._reserve_tx(packet, self.sim.now)
-        size = packet.wire_len
+            return self._reserve_tx(packet, self.sim._now, size)
         if self._tx_fifo_bytes + size > self.queue_bytes:
             self.drops.count(size)
             return False
@@ -212,16 +336,18 @@ class Port:
             self._start_tx(packet, size)
         return True
 
-    def send_delayed(self, packet: Packet, delay_s: float) -> None:
+    def send_delayed(
+        self, packet: Packet, delay_s: float, size: int | None = None
+    ) -> None:
         """Send ``packet`` after ``delay_s`` (e.g. a transceiver crossing).
 
         Coalescing ports fold the delay into the serialization reservation
         — no intermediate event; others schedule a plain deferred send.
         """
         if self.coalesce and self._peer is not None:
-            self._reserve_tx(packet, self.sim.now + delay_s)
+            self._reserve_tx(packet, self.sim._now + delay_s, size)
         else:
-            self.sim.schedule(delay_s, self.send, packet)
+            self.sim.schedule(delay_s, self.send, packet, size)
 
     def send_at(self, packet: Packet, at_s: float, size: int | None = None) -> bool:
         """Send ``packet`` at absolute (virtual) time ``at_s``.
@@ -238,8 +364,8 @@ class Port:
         if self.coalesce and self._peer is not None:
             return self._reserve_tx(packet, at_s, size)
         if at_s <= self.sim.now:
-            return self.send(packet)
-        self.sim.schedule(at_s - self.sim.now, self.send, packet)
+            return self.send(packet, size)
+        self.sim.schedule(at_s - self.sim.now, self.send, packet, size)
         return True
 
     def _reserve_tx(
@@ -263,8 +389,16 @@ class Port:
         timeline = self._timeline
         reservations = timeline._pending
         pending_bytes = timeline.pending_bytes
+        sim = self.sim
+        now = sim._now
+        ahead = self._ahead
+        while ahead and ahead[0][0] <= now:
+            ahead.popleft()
         while reservations and reservations[0][0] <= arrival:
-            pending_bytes -= reservations.popleft()[1]
+            entry = reservations.popleft()
+            pending_bytes -= entry[1]
+            if entry[0] > now:
+                ahead.append(entry)
         if pending_bytes + size > self.queue_bytes:
             timeline.pending_bytes = pending_bytes
             self.drops.count(size)
@@ -277,7 +411,8 @@ class Port:
         start = arrival if arrival > free_at else free_at
         finish = start + service
         timeline.free_at = finish
-        reservations.append((start, size))
+        # Arrival and the previous frame's finish ride along for _cut.
+        reservations.append((start, size, arrival, free_at))
         timeline.pending_bytes = pending_bytes + size
         when = finish + self._propagation_s
         peer = self._peer
@@ -295,25 +430,33 @@ class Port:
             pending = self._pending_rx
             pending.append((packet, size, when))
             if len(pending) == 1:
-                self.sim.schedule_at(
-                    when if when > self.sim.now else self.sim.now,
-                    self._flush_rx,
+                self._rx_flush_event = sim.schedule_at(
+                    when if when > now else now, self._flush_rx
                 )
             return True
-        if when < self.sim.now:
+        if when < now:
             # A virtual arrival far enough in the past that the frame
             # "already" left: deliver immediately (bounded by the batch
             # window; the reservation arithmetic stays exact regardless).
-            when = self.sim.now
-        self.sim.schedule_at(when, self._coalesced_deliver, packet)
+            when = now
+        # Inlined Simulator.schedule_at (hot path; ``when`` is not past).
+        seq = sim._seq = sim._seq + 1
+        heappush(
+            sim._queue,
+            (when, seq, EventHandle(when, seq, self._coalesced_deliver, (packet, size))),
+        )
         return True
 
-    def _coalesced_deliver(self, packet: Packet) -> None:
-        size = packet.wire_len
-        self.tx.count(size)
-        peer = self._peer
-        if peer is not None:
-            peer._deliver(packet, size)
+    def _coalesced_deliver(
+        self, packet: Packet, size: int, peer: "Port | None" = None
+    ) -> None:
+        """End of a coalesced hop; ``peer`` is set by a cut in between."""
+        tx = self.tx
+        tx.packets += 1
+        tx.bytes += size
+        if peer is None:
+            peer = self._peer
+        peer._deliver(packet, size)
 
     # ------------------------------------------------------------------
     # Compiled burst transmit (struct-of-arrays lane)
@@ -354,9 +497,16 @@ class Port:
         # Amortized drain to the burst head — the state _reserve_tx would
         # see at the first arrival (each reservation pops once ever).
         first = float(times[0])
+        now = self.sim._now
+        ahead = self._ahead
+        while ahead and ahead[0][0] <= now:
+            ahead.popleft()
         pending_bytes = timeline.pending_bytes
         while reservations and reservations[0][0] <= first:
-            pending_bytes -= reservations.popleft()[1]
+            entry = reservations.popleft()
+            pending_bytes -= entry[1]
+            if entry[0] > now:
+                ahead.append(entry)
         timeline.pending_bytes = pending_bytes
         if timeline.pending_bytes + n * size <= self.queue_bytes:
             # Conservative no-drop precheck (occupancy only shrinks as the
@@ -365,9 +515,16 @@ class Port:
             chained = chain_reservations(times, service, timeline.free_at)
             if chained is not None:
                 starts, finishes = chained
-                timeline.free_at = float(finishes[-1])
-                for start in starts.tolist():
-                    reservations.append((start, size))
+                ends = finishes.tolist()
+                reservations.extend(
+                    zip(
+                        starts.tolist(),
+                        repeat(size),
+                        times.tolist(),
+                        [timeline.free_at, *ends[:-1]],
+                    )
+                )
+                timeline.free_at = ends[-1]
                 timeline.pending_bytes += n * size
                 whens = finishes + self._propagation_s
         if whens is None:
@@ -380,14 +537,17 @@ class Port:
             dropped = 0
             for at in times.tolist():
                 while reservations and reservations[0][0] <= at:
-                    pending_bytes -= reservations.popleft()[1]
+                    entry = reservations.popleft()
+                    pending_bytes -= entry[1]
+                    if entry[0] > now:
+                        ahead.append(entry)
                 if pending_bytes + size > queue_bytes:
                     dropped += 1
                     continue
                 start = at if at > free_at else free_at
                 finish = start + service
+                reservations.append((start, size, at, free_at))
                 free_at = finish
-                reservations.append((start, size))
                 pending_bytes += size
                 admit(finish + self._propagation_s)
             timeline.free_at = free_at
@@ -400,7 +560,6 @@ class Port:
             whens = np.asarray(admitted)
         count = len(whens)
         peer = self._peer
-        now = self.sim.now
         if not peer.batch_rx:
             # Per-frame receiver: replay the coalesced deliver events.
             for when in whens.tolist():
@@ -408,6 +567,7 @@ class Port:
                     when if when > now else now,
                     self._coalesced_deliver,
                     template.copy(),
+                    size,
                 )
             return count
         if self._pending_rx:
@@ -451,7 +611,7 @@ class Port:
         if pending and was_empty:
             first = pending[0][2]
             now = self.sim.now
-            self.sim.schedule_at(
+            self._rx_flush_event = self.sim.schedule_at(
                 first if first > now else now, self._flush_rx
             )
 
@@ -483,11 +643,6 @@ class Port:
             return
         peer = self._peer
         tx = self.tx
-        if peer is None:
-            for _template, size, whens in bursts:
-                tx.packets += len(whens)
-                tx.bytes += len(whens) * size
-            return
         begin = peer.rx_flush_begin
         if begin is not None:
             begin()
@@ -525,6 +680,7 @@ class Port:
             end()
 
     def _flush_rx(self) -> None:
+        self._rx_flush_event = None
         pending = self._pending_rx
         self._pending_rx = []
         if pending[-1][2] > self.sim.horizon:
@@ -536,16 +692,16 @@ class Port:
                 i for i, entry in enumerate(pending) if entry[2] > horizon
             )
             self._pending_rx = pending[split:]
-            self.sim.schedule_at(self._pending_rx[0][2], self._flush_rx)
+            self._rx_flush_event = self.sim.schedule_at(
+                self._pending_rx[0][2], self._flush_rx
+            )
             pending = pending[:split]
-        peer = self._peer
-        tx = self.tx
-        if peer is None:
-            # Link torn down after reservation: same silent in-flight loss
-            # as the per-frame coalesced deliver.
-            for _packet, size, _when in pending:
-                tx.count(size)
-            return
+        self._hand_over(self._peer, pending)
+
+    def _hand_over(
+        self, peer: "Port", pending: "list[tuple[Packet, int, float]]"
+    ) -> None:
+        """Deliver a run of batch-lane frames to ``peer`` in one go."""
         begin = peer.rx_flush_begin
         if begin is not None:
             begin()
@@ -565,6 +721,7 @@ class Port:
                     total_bytes += size
                     handler(peer, packet)
         frames = len(pending)
+        tx = self.tx
         tx.packets += frames
         tx.bytes += total_bytes
         rx = peer.rx

@@ -12,6 +12,7 @@ drop-in upgrade story.
 from __future__ import annotations
 
 from ..core.module import FlexSFPModule
+from ..engine import EngineConfig, resolve_engine
 from ..errors import ConfigError, SimulationError
 from ..packet import Packet
 from ..sim.engine import Simulator
@@ -31,10 +32,14 @@ class SfpCage:
     becomes the external port.
     """
 
-    def __init__(self, sim: Simulator, name: str, rate_bps: float) -> None:
+    def __init__(
+        self, sim: Simulator, name: str, rate_bps: float, coalesce: bool = False
+    ) -> None:
         self.sim = sim
         self.name = name
-        self.asic_port = Port(sim, f"{name}.asic", rate_bps=rate_bps)
+        self.asic_port = Port(
+            sim, f"{name}.asic", rate_bps=rate_bps, coalesce=coalesce
+        )
         self.module: FlexSFPModule | None = None
 
     @property
@@ -64,7 +69,13 @@ class SfpCage:
 
 
 class LegacySwitch:
-    """Fixed-function MAC-learning switch; no programmability inside."""
+    """Fixed-function MAC-learning switch; no programmability inside.
+
+    ``engine`` (an :class:`~repro.engine.EngineConfig` or tier name,
+    resolved like a module's) only sets how fast the simulation runs: on
+    the batched tiers the ASIC ports coalesce each hop into one event,
+    with the pipeline latency folded into the transmit reservation.
+    """
 
     def __init__(
         self,
@@ -73,6 +84,7 @@ class LegacySwitch:
         num_ports: int = 8,
         rate_bps: float = 10e9,
         mac_table_size: int = DEFAULT_MAC_TABLE_SIZE,
+        engine: "EngineConfig | str | None" = None,
     ) -> None:
         if num_ports < 2:
             raise ConfigError("a switch needs at least two ports")
@@ -80,8 +92,10 @@ class LegacySwitch:
         self.name = name
         self.rate_bps = rate_bps
         self.mac_table_size = mac_table_size
+        coalesce = resolve_engine(engine).batched
         self.cages = [
-            SfpCage(sim, f"{name}.p{i}", rate_bps) for i in range(num_ports)
+            SfpCage(sim, f"{name}.p{i}", rate_bps, coalesce)
+            for i in range(num_ports)
         ]
         for index, cage in enumerate(self.cages):
             cage.asic_port.attach(self._make_rx(index))
@@ -108,28 +122,27 @@ class LegacySwitch:
         return _rx
 
     def _forward(self, ingress: int, packet: Packet) -> None:
+        size = packet.wire_len
         eth = packet.eth
         if eth is None:
-            self.filtered.count(packet.wire_len)
+            self.filtered.count(size)
             return
         self._learn(eth.src, ingress)
         egress = self._mac_table.get(eth.dst)
         if eth.is_broadcast or eth.is_multicast or egress is None:
-            self.flooded.count(packet.wire_len)
+            self.flooded.count(size)
             for index, cage in enumerate(self.cages):
                 if index != ingress:
-                    self.sim.schedule(
-                        SWITCH_PIPELINE_LATENCY_S,
-                        cage.asic_port.send,
-                        packet.copy(),
+                    cage.asic_port.send_delayed(
+                        packet.copy(), SWITCH_PIPELINE_LATENCY_S, size
                     )
             return
         if egress == ingress:
-            self.filtered.count(packet.wire_len)
+            self.filtered.count(size)
             return
-        self.forwarded.count(packet.wire_len)
-        self.sim.schedule(
-            SWITCH_PIPELINE_LATENCY_S, self.cages[egress].asic_port.send, packet
+        self.forwarded.count(size)
+        self.cages[egress].asic_port.send_delayed(
+            packet, SWITCH_PIPELINE_LATENCY_S, size
         )
 
     def _learn(self, mac: int, port_index: int) -> None:

@@ -171,3 +171,62 @@ class TestHopIdentity:
         assert len(got) == len(sizes) + b.duplicated.packets
         assert b.rx.packets == len(got)
         assert b.rx.bytes == sum(got) == sum(sizes) + b.duplicated.bytes
+
+
+def five_frames_cut_at_9us(coalesce: bool, batch_rx: bool = False, cut_s=9e-6):
+    """5 x 500 B frames on 1 Gbps with 2 us propagation, cut at ``cut_s``.
+
+    Each frame serializes for 4.192 us: frames 1-2 finish by 9 us, frame 3
+    is on the wire, frames 4-5 are still queued.
+    """
+    sim = Simulator()
+    a = Port(sim, "a", rate_bps=1e9, coalesce=coalesce)
+    b = Port(sim, "b", rate_bps=1e9, batch_rx=batch_rx)
+    connect(a, b, propagation_s=2e-6)
+    got = []
+    b.attach(
+        lambda port, packet: got.append(packet.meta.get("link_deliver_s", sim.now))
+    )
+    for _ in range(5):
+        assert a.send(Packet(payload=bytes(500)))
+    sim.schedule(cut_s, a.disconnect)
+    sim.run()
+    return got, a.tx.packets, b.rx.packets
+
+
+class TestDisconnectInFlight:
+    @pytest.mark.parametrize("coalesce", [False, True])
+    def test_cut_loses_the_same_frames_on_both_paths(self, coalesce):
+        got, tx, rx = five_frames_cut_at_9us(coalesce)
+        service = serialization_time(500, 1e9)
+        assert got == [service + 2e-6, service + service + 2e-6]
+        assert (tx, rx) == (3, 2)
+
+    def test_frame_on_the_wire_reaches_a_reconnected_peer(self):
+        results = []
+        for coalesce in (False, True):
+            sim = Simulator()
+            a = Port(sim, "a", rate_bps=1e9, coalesce=coalesce)
+            b = Port(sim, "b", rate_bps=1e9)
+            connect(a, b, propagation_s=2e-6)
+            got = []
+            b.attach(lambda port, packet: got.append(sim.now))
+            for _ in range(3):
+                a.send(Packet(payload=bytes(500)))
+            sim.schedule(5e-6, a.disconnect)
+            sim.schedule(6e-6, a.connect, b, 2e-6)
+            sim.schedule(7e-6, a.send, Packet(payload=bytes(500)))
+            sim.run()
+            results.append((got, a.tx.packets, b.rx.packets))
+        assert results[0] == results[1]
+        # Frame 2 finished on the restored link; the frame sent after the
+        # reconnect waited for it.
+        assert results[0][1:] == (3, 3)
+
+    def test_batch_lane_frames_not_yet_flushed_follow_the_same_rules(self):
+        # Cut at 5 us, before the first flush (6.192 us): frame 1 finished
+        # serializing and still arrives, stamped with its wire time.
+        got, tx, rx = five_frames_cut_at_9us(True, batch_rx=True, cut_s=5e-6)
+        assert got == [serialization_time(500, 1e9) + 2e-6]
+        assert (tx, rx) == (2, 1)
+        assert five_frames_cut_at_9us(False, cut_s=5e-6)[1:] == (2, 1)
