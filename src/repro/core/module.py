@@ -35,7 +35,7 @@ from ..packet import BROADCAST_MAC, Packet
 from ..sim.engine import Simulator
 from ..sim.link import Port
 from ..sim.stats import Counter
-from .arbiter import Arbiter
+from .arbiter import Arbiter, is_mgmt_frame
 from .controlplane import ControlPlane
 from .flowcache import DEFAULT_FLOW_CACHE_ENTRIES, FlowCache
 from .ppe import Direction, PacketProcessingEngine, PPEApplication, Verdict
@@ -428,10 +428,14 @@ class FlexSFPModule:
     # Ingress handling
     # ------------------------------------------------------------------
     def _on_edge_rx(self, port: Port, packet: Packet) -> None:
-        self._ingress(packet, Direction.EDGE_TO_LINE, reply_port=self.edge_port)
+        self._ingress(
+            packet, packet.wire_len, self.sim.now, Direction.EDGE_TO_LINE, port
+        )
 
     def _on_line_rx(self, port: Port, packet: Packet) -> None:
-        self._ingress(packet, Direction.LINE_TO_EDGE, reply_port=self.line_port)
+        self._ingress(
+            packet, packet.wire_len, self.sim.now, Direction.LINE_TO_EDGE, port
+        )
 
     def _rx_flush_begin(self) -> None:
         if self._multi:
@@ -450,118 +454,26 @@ class FlexSFPModule:
     def _on_edge_rx_batch(
         self, port: Port, items: list[tuple[Packet, int, float]]
     ) -> None:
-        self._ingress_batch(items, Direction.EDGE_TO_LINE, self.edge_port)
+        ingress = self._ingress
+        for packet, size, when in items:
+            ingress(packet, size, when, Direction.EDGE_TO_LINE, port)
 
     def _on_line_rx_batch(
         self, port: Port, items: list[tuple[Packet, int, float]]
     ) -> None:
-        self._ingress_batch(items, Direction.LINE_TO_EDGE, self.line_port)
-
-    def _ingress_batch(
-        self,
-        items: list[tuple[Packet, int, float]],
-        direction: Direction,
-        reply_port: Port,
-    ) -> None:
-        """Whole-flush ingress: :meth:`_ingress` fused over one delivery batch.
-
-        Per-frame behaviour (classification order, timestamps, drop
-        accounting) is identical to the per-frame path with ``at_s`` set
-        to each frame's stamped delivery time.  Module state transitions
-        (reboot, degradation, PPE swap) are all event-scheduled, so the
-        hot-path lookups are loop-invariant within one flush.
-        """
-        if self._down:
-            drops = self.downtime_drops
-            for _packet, size, _when in items:
-                drops.count(size)
-            return
-        if self._multi:
-            # Crossbar steering is per-frame state (slot down/degraded can
-            # flip mid-flush only via scheduled events, but tenants differ
-            # frame to frame): replay through the per-frame path with each
-            # frame's stamped delivery time.
-            for packet, _size, when in items:
-                packet.meta["link_deliver_s"] = when
-                self._ingress(packet, direction, reply_port)
-            return
-        classify = self.arbiter.classify
-        degraded = self.degraded
-        processes = self.shell.processes(direction)
-        # ``submit`` dispatches on batch mode per call; batched modules
-        # can bind the batched admission directly.
-        ppe = self.ppe
-        batched = ppe.batch_size > 1
-        submit = ppe._submit_batched if batched else ppe.submit
-        done = (
-            self._done_edge_to_line
-            if direction is Direction.EDGE_TO_LINE
-            else self._done_line_to_edge
-        )
-        tracer = self._tracer
+        ingress = self._ingress
         for packet, size, when in items:
-            if tracer is not None and tracer.admit(packet):
-                when_ns = int(when * 1e9)
-                tracer.record(
-                    packet,
-                    "mac.rx",
-                    self.name,
-                    when_ns,
-                    when_ns,
-                    direction,
-                    port=reply_port.name,
-                    size=size,
-                )
-                classified = classify(packet, size)
-                tracer.record(
-                    packet,
-                    "arbiter",
-                    self.name,
-                    when_ns,
-                    when_ns,
-                    direction,
-                    classified=classified,
-                )
-            else:
-                classified = classify(packet, size)
-            if classified == "cpu":
-                addressing = self._mgmt_addressing(packet)
-                if addressing == "us":
-                    self._to_control_plane(packet, reply_port, when)
-                    continue
-                if addressing == "broadcast":
-                    self._to_control_plane(packet.copy(), reply_port, when)
-            packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
-            if degraded:
-                self.degraded_forwarded.count(size)
-                self._egress_port(direction).send_at(
-                    packet, when + TRANSCEIVER_LATENCY_S, size
-                )
-            elif processes:
-                if batched:
-                    submit(packet, size, direction, done, when)
-                else:
-                    submit(packet, direction, done, at_s=when, size=size)
-            else:
-                self._egress_port(direction).send_at(
-                    packet,
-                    when + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                    size,
-                )
+            ingress(packet, size, when, Direction.LINE_TO_EDGE, port)
 
     def _on_edge_rx_burst(
         self, port: Port, template: Packet, size: int, whens
     ) -> None:
-        self._ingress_burst(
-            template, size, whens, Direction.EDGE_TO_LINE, self.edge_port
-        )
+        self._ingress_burst(template, size, whens, Direction.EDGE_TO_LINE, port)
 
     def _on_line_rx_burst(
         self, port: Port, template: Packet, size: int, whens
     ) -> None:
-        self._ingress_burst(
-            template, size, whens, Direction.LINE_TO_EDGE, self.line_port
-        )
+        self._ingress_burst(template, size, whens, Direction.LINE_TO_EDGE, port)
 
     def _ingress_burst(
         self,
@@ -574,9 +486,9 @@ class FlexSFPModule:
         """Compiled-tier ingress: one template + delivery-time vector.
 
         Per-frame counters, timestamps and drop decisions are identical to
-        :meth:`_ingress_batch` over the expanded frames.  Paths with
-        per-frame side effects (tracing, management addressing, degraded
-        forwarding) deopt to exactly that expansion.
+        :meth:`_ingress` over the expanded frames.  Bursts with per-frame
+        side effects (tracing, degraded forwarding, crossbar steering,
+        management addressing) take exactly that expansion.
         """
         count = len(whens)
         if self._down:
@@ -584,48 +496,16 @@ class FlexSFPModule:
             drops.packets += count
             drops.bytes += count * size
             return
-        if self._tracer is not None or self.degraded or self._multi:
-            self._ingress_batch(
-                [
-                    (template.copy(), size, when)
-                    for when in whens.tolist()
-                ],
-                direction,
-                reply_port,
-            )
-            return
-        classified = self.arbiter.classify_bulk(template, size, count)
-        if classified != "data":
-            # A burst of management frames: replay per frame (the bulk
-            # classification already counted them — don't count twice).
-            done = (
-                self._done_edge_to_line
-                if direction is Direction.EDGE_TO_LINE
-                else self._done_line_to_edge
-            )
-            ppe = self.ppe
-            batched = ppe.batch_size > 1
+        if (
+            self._tracer is not None
+            or self.degraded
+            or self._multi
+            or is_mgmt_frame(template)
+        ):
             for when in whens.tolist():
-                packet = template.copy()
-                addressing = self._mgmt_addressing(packet)
-                if addressing == "us":
-                    self._to_control_plane(packet, reply_port, when)
-                    continue
-                if addressing == "broadcast":
-                    self._to_control_plane(packet.copy(), reply_port, when)
-                packet.meta["flexsfp_ingress_ns"] = int(when * 1e9)
-                if self.shell.processes(direction):
-                    if batched:
-                        ppe._submit_batched(packet, size, direction, done, when)
-                    else:
-                        ppe.submit(packet, direction, done, at_s=when, size=size)
-                else:
-                    self._egress_port(direction).send_at(
-                        packet,
-                        when + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                        size,
-                    )
+                self._ingress(template.copy(), size, when, direction, reply_port)
             return
+        self.arbiter.classify_bulk(template, size, count)
         template.meta["flexsfp_ingress_ns"] = int(float(whens[0]) * 1e9)
         if not self.shell.processes(direction):
             # Unprocessed direction: vectorized pass-through at retimer
@@ -656,7 +536,7 @@ class FlexSFPModule:
             self.arbiter.classify(packet) == "cpu"
             and self._mgmt_addressing(packet) != "other"
         ):
-            self._to_control_plane(packet, port)
+            self._to_control_plane(packet, port, self.sim.now)
         else:
             self.verdict_drops.count(packet.wire_len)
 
@@ -676,25 +556,37 @@ class FlexSFPModule:
             return "broadcast"
         return "other"
 
-    def _ingress(self, packet: Packet, direction: Direction, reply_port: Port) -> None:
+    def _ingress(
+        self,
+        packet: Packet,
+        size: int,
+        when: float,
+        direction: Direction,
+        reply_port: Port,
+    ) -> None:
+        """One frame through the shell: MAC rx, arbiter, crossbar, PPE.
+
+        ``when`` is the frame's wire arrival: ``sim.now`` for per-frame
+        delivery, the stamped virtual time for batch-delivered ingress
+        (which may lead the event clock).  Everything below uses it, so
+        timestamps, dark windows and occupancy checks match the
+        event-per-frame run.  Module state transitions (reboot,
+        degradation, PPE swap) are all event-scheduled, so a batch of
+        frames sees one consistent module state.
+        """
         if self._down:
-            self.downtime_drops.count(packet.wire_len)
+            self.downtime_drops.count(size)
             return
-        # Batch-delivered ingress hands the frame over early, carrying its
-        # exact wire arrival; everything below uses that virtual time so
-        # timestamps and occupancy checks match the event-per-frame run.
-        at_s = packet.meta.pop("link_deliver_s", None)
-        size = packet.wire_len
+        when_ns = int(when * 1e9)
         tracer = self._tracer
         traced = tracer is not None and tracer.admit(packet)
         if traced:
-            arrival_ns = int((self.sim.now if at_s is None else at_s) * 1e9)
             tracer.record(
                 packet,
                 "mac.rx",
                 self.name,
-                arrival_ns,
-                arrival_ns,
+                when_ns,
+                when_ns,
                 direction,
                 port=reply_port.name,
                 size=size,
@@ -705,94 +597,54 @@ class FlexSFPModule:
                 packet,
                 "arbiter",
                 self.name,
-                arrival_ns,
-                arrival_ns,
+                when_ns,
+                when_ns,
                 direction,
                 classified=classified,
             )
         if classified == "cpu":
             addressing = self._mgmt_addressing(packet)
             if addressing == "us":
-                self._to_control_plane(packet, reply_port, at_s)
+                self._to_control_plane(packet, reply_port, when)
                 return
             if addressing == "broadcast":
                 # Answer discovery and let the frame continue downstream.
-                self._to_control_plane(packet.copy(), reply_port, at_s)
+                self._to_control_plane(packet.copy(), reply_port, when)
             # Management traffic for other modules rides the data path.
-        packet.meta["flexsfp_ingress_ns"] = int(
-            (self.sim.now if at_s is None else at_s) * 1e9
-        )
-        if self._multi:
-            self._ingress_tenant(packet, direction, at_s, size, traced)
-            return
+        packet.meta["flexsfp_ingress_ns"] = when_ns
         if self.degraded:
             # Degraded pass-through: no PPE, both directions forward at
             # bare transceiver latency — the module is a dumb cable now.
             self.degraded_forwarded.count(size)
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-            else:
-                port.send_at(packet, at_s + TRANSCEIVER_LATENCY_S, size)
+            self._egress_port(direction).send_at(
+                packet, when + TRANSCEIVER_LATENCY_S, size
+            )
             return
-        if self.shell.processes(direction):
-            accepted = self.ppe.submit(
+        if not self.shell.processes(direction):
+            # The unprocessed direction bypasses the PPE (and on a
+            # multi-tenant module the crossbar) at retimer latency.
+            self._egress_port(direction).send_at(
+                packet, when + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S), size
+            )
+            return
+        if not self._multi:
+            self.ppe.submit(
                 packet,
                 direction,
                 self._done_edge_to_line
                 if direction is Direction.EDGE_TO_LINE
                 else self._done_line_to_edge,
-                at_s=at_s,
+                at_s=when,
                 size=size,
             )
-            if not accepted:
-                return  # counted by the PPE as an overload drop
-        else:
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(
-                    packet, TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S
-                )
-            else:
-                port.send_at(
-                    packet,
-                    at_s + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                )
-
-    def _ingress_tenant(
-        self,
-        packet: Packet,
-        direction: Direction,
-        at_s: float | None,
-        size: int,
-        traced: bool,
-    ) -> None:
-        """Crossbar stage: steer one data-plane frame to its tenant slot.
-
-        Slot-local state (dark during partial reconfiguration, degraded
-        after a failed slot boot) affects only frames steered to that
-        slot — the other tenants keep forwarding, which is the whole
-        point of per-slot images.
-        """
-        if not self.shell.processes(direction):
-            # The unprocessed direction bypasses the PPE partitions (and
-            # therefore the crossbar) entirely, exactly like the
-            # single-tenant shell datapath.
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(
-                    packet, TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S
-                )
-            else:
-                port.send_at(
-                    packet,
-                    at_s + (TRANSCEIVER_LATENCY_S + PASSTHROUGH_LATENCY_S),
-                )
             return
+        # Crossbar stage: slot-local state (dark during partial
+        # reconfiguration, degraded after a failed slot boot) affects only
+        # frames steered to that slot — the other tenants keep forwarding,
+        # which is the whole point of per-slot images.
         slot = self.slots[self.crossbar.steer(packet, size)]
         if traced:
-            when_ns = packet.meta["flexsfp_ingress_ns"]
-            self._tracer.record(
+            tracer.record(
                 packet,
                 "crossbar",
                 self.name,
@@ -801,23 +653,20 @@ class FlexSFPModule:
                 direction,
                 tenant=slot.name,
             )
-        when = self.sim.now if at_s is None else at_s
         if slot.is_dark(when):
             slot.downtime_drops.count(size)
             return
         if slot.degraded:
             slot.degraded_forwarded.count(size)
-            port = self._egress_port(direction)
-            if at_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-            else:
-                port.send_at(packet, at_s + TRANSCEIVER_LATENCY_S, size)
+            self._egress_port(direction).send_at(
+                packet, when + TRANSCEIVER_LATENCY_S, size
+            )
             return
         slot.ppe.submit(
             packet,
             direction,
             slot.done_edge if direction is Direction.EDGE_TO_LINE else slot.done_line,
-            at_s=at_s,
+            at_s=when,
             size=size,
         )
 
@@ -829,9 +678,6 @@ class FlexSFPModule:
 
     def _ingress_port(self, direction: Direction) -> Port:
         return self.edge_port if direction is Direction.EDGE_TO_LINE else self.line_port
-
-    def _forward(self, packet: Packet, direction: Direction) -> None:
-        self._egress_port(direction).send(packet)
 
     # Pre-bound PPE completion callbacks (one per direction) so the hot
     # ingress path does not allocate a closure per frame.
@@ -893,17 +739,15 @@ class FlexSFPModule:
         direction: Direction,
         drops: Counter | None = None,
     ) -> None:
-        # Batched PPE execution runs this callback at the batch tail but
-        # records the frame's virtual deliver time; egressing at that
-        # absolute time (plus the transceiver crossing, added in the same
-        # float order as the event-per-frame path) keeps downstream
-        # serialization timestamps bit-identical.
-        deliver_s = packet.meta.pop("ppe_deliver_s", None)
+        # Batched PPE execution runs this callback at the batch tail, but
+        # every lane records the frame's virtual deliver time; egressing at
+        # that absolute time (plus the transceiver crossing, added in the
+        # same float order on every lane) keeps downstream serialization
+        # timestamps bit-identical.
+        deliver_s = packet.meta.pop("ppe_deliver_s")
         tracer = self._tracer
         if tracer is not None and tracer.is_traced(packet):
-            egress_ns = int(
-                (self.sim.now if deliver_s is None else deliver_s) * 1e9
-            )
+            egress_ns = int(deliver_s * 1e9)
             detail: dict[str, object] = {"verdict": verdict.value}
             if verdict is Verdict.PASS:
                 detail["port"] = self._egress_port(direction).name
@@ -918,43 +762,24 @@ class FlexSFPModule:
                 direction,
                 **detail,
             )
+        egress_s = deliver_s + TRANSCEIVER_LATENCY_S
         if verdict is Verdict.PASS:
-            # Inlined _egress/send_at for the dominant verdict: identical
-            # arithmetic, two fewer calls per frame.
-            port = (
-                self.line_port
-                if direction is Direction.EDGE_TO_LINE
-                else self.edge_port
-            )
-            if deliver_s is None:
-                port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-            elif port.coalesce and port._peer is not None:
-                port._reserve_tx(packet, deliver_s + TRANSCEIVER_LATENCY_S)
-            else:
-                port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S)
+            self._egress_port(direction).send_at(packet, egress_s)
         elif verdict is Verdict.REFLECT:
-            self._egress(self._egress_port(direction.reverse), packet, deliver_s)
+            self._egress_port(direction.reverse).send_at(packet, egress_s)
         elif verdict is Verdict.TO_CPU:
             self.punted_to_cpu.append(packet)
             # The embedded CPU's service chain may answer (§4.1's
             # "self-contained microservice node"); replies leave through
             # the interface the packet arrived on.
-            at = (
-                self.sim.now if deliver_s is None else deliver_s
-            ) + CONTROL_PLANE_LATENCY_S
+            at = deliver_s + CONTROL_PLANE_LATENCY_S
             self.sim.schedule_at(
                 max(at, self.sim.now), self._run_services, packet, direction
             )
         else:  # DROP
             (self.verdict_drops if drops is None else drops).count(packet.wire_len)
         for extra, extra_direction in emitted:
-            self._egress(self._egress_port(extra_direction), extra, deliver_s)
-
-    def _egress(self, port: Port, packet: Packet, deliver_s: float | None) -> None:
-        if deliver_s is None:
-            port.send_delayed(packet, TRANSCEIVER_LATENCY_S)
-        else:
-            port.send_at(packet, deliver_s + TRANSCEIVER_LATENCY_S)
+            self._egress_port(extra_direction).send_at(extra, egress_s)
 
     def _run_services(self, packet: Packet, direction: Direction) -> None:
         reply = self.services.dispatch(packet, direction)
@@ -965,9 +790,7 @@ class FlexSFPModule:
     # ------------------------------------------------------------------
     # Control plane plumbing
     # ------------------------------------------------------------------
-    def _to_control_plane(
-        self, packet: Packet, reply_port: Port, at_s: float | None = None
-    ) -> None:
+    def _to_control_plane(self, packet: Packet, reply_port: Port, at_s: float) -> None:
         reply = self.control_plane.handle_frame(packet)
         if reply is None:
             return
@@ -977,14 +800,9 @@ class FlexSFPModule:
 
         response = mgmt_frame(reply, self.auth_key, self.mgmt_mac, requester)
         self.arbiter.merge_from_cpu(response)
-        if at_s is None:
-            self.sim.schedule(CONTROL_PLANE_LATENCY_S, reply_port.send, response)
-        else:
-            when = at_s + CONTROL_PLANE_LATENCY_S
-            now = self.sim.now
-            self.sim.schedule_at(
-                when if when > now else now, reply_port.send, response
-            )
+        when = at_s + CONTROL_PLANE_LATENCY_S
+        now = self.sim.now
+        self.sim.schedule_at(when if when > now else now, reply_port.send, response)
 
     # ------------------------------------------------------------------
     # Reprogramming / reboot

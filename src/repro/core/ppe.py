@@ -24,9 +24,10 @@ their results:
   :class:`~repro.sim.engine.ServiceTimeline`, so per-frame start/finish
   timestamps — and therefore queueing, overload, and latency statistics —
   are identical to the event-per-frame execution.  Frames are *processed*
-  at the batch boundary and *delivered* once per batch, so downstream
-  egress times may shift by up to one batch window; single-frame batches
-  are exactly the unbatched schedule.
+  at the batch boundary and *delivered* once per batch, but every frame
+  carries its exact virtual deliver time (``ppe_deliver_s``) and egresses
+  through :meth:`~repro.sim.link.Port.send_at`, so downstream virtual
+  egress times are bit-identical; only the events that carry them move.
 * **Compiled bursts** (``program`` + :meth:`PacketProcessingEngine.submit_burst`):
   the compiled engine tier hands the engine whole same-flow bursts as one
   template packet plus a struct-of-arrays vector of per-frame arrival
@@ -39,6 +40,11 @@ their results:
   emissions — *deopts*: those frames materialize into the batched
   per-frame lane and take the exact reference arithmetic, so compiled
   results are bit-identical to the reference engine by construction.
+
+Every lane runs a frame's functional behaviour through one
+:meth:`PacketProcessingEngine._apply` and hands it downstream through one
+``_deliver_batch``; an attached packet tracer wraps that apply with a
+hook rather than running a copy of it.
 """
 
 from __future__ import annotations
@@ -287,8 +293,13 @@ class PacketProcessingEngine:
         flow_cache: FlowCache | None = None,
         program: "CompiledProgram | None" = None,
     ) -> None:
-        if batch_size < 1:
-            raise SimulationError(f"batch size must be >= 1, got {batch_size}")
+        # Burst fusion reserves through the batched admission lane, so a
+        # compiled program needs a batched engine.
+        minimum = 1 if program is None else 2
+        if batch_size < minimum:
+            raise SimulationError(
+                f"batch size must be >= {minimum}, got {batch_size}"
+            )
         self.sim = sim
         self.app = app
         self.timing = timing
@@ -346,8 +357,8 @@ class PacketProcessingEngine:
         self.verdict_counts: dict[Verdict, int] = {v: 0 for v in Verdict}
         self.latency_ns = Histogram.exponential(start=50.0, factor=2.0, count=16)
         # Optional packet tracer (duck-typed repro.obs.trace.Tracer — core
-        # never imports obs).  None costs one attribute load per frame;
-        # traced frames take the cold instrumented twin of _apply.
+        # never imports obs).  None costs one attribute load per drain;
+        # attached, the _trace hook wraps _apply.
         self.tracer = None
 
     def submit(
@@ -496,34 +507,18 @@ class PacketProcessingEngine:
     ) -> None:
         # The frame has streamed through; apply the functional behaviour,
         # then deliver after the pipeline fill latency.
-        ctx = PPEContext(
-            time_ns=int(self.sim.now * 1e9),
-            direction=direction,
-            device_id=self.device_id,
-            queue_depth=self._fifo_bytes,
+        now = self.sim.now
+        apply = self._apply if self.tracer is None else self._trace
+        verdict, emitted = apply(
+            packet, size, direction, int(now * 1e9), self._fifo_bytes
         )
-        verdict = self._apply(packet, size, direction, ctx)
-        self.sim.schedule(
-            self.pipeline_latency_s,
-            self._deliver,
-            packet,
-            verdict,
-            ctx.emitted,
-            done,
-            enqueue_ns,
+        deliver_s = now + self.pipeline_latency_s
+        self.sim.schedule_at(
+            deliver_s,
+            self._deliver_batch,
+            [(packet, verdict, emitted, done, enqueue_ns, deliver_s)],
         )
         self._start_next()
-
-    def _deliver(
-        self,
-        packet: Packet,
-        verdict: Verdict,
-        emitted: list[tuple[Packet, Direction]],
-        done: DoneCallback,
-        enqueue_ns: int,
-    ) -> None:
-        self.latency_ns.add(int(self.sim.now * 1e9) - enqueue_ns)
-        done(packet, verdict, emitted)
 
     # ------------------------------------------------------------------
     # Batched execution
@@ -582,7 +577,7 @@ class PacketProcessingEngine:
                 future_bytes += entry[1]
             remaining_bytes = self._arrivals_bytes
             pipeline_latency_s = self.pipeline_latency_s
-            apply = self._apply_batched
+            apply = self._apply if self.tracer is None else self._trace
             deliveries: list[
                 tuple[Packet, Verdict, list, DoneCallback, int, float]
             ] = []
@@ -622,11 +617,11 @@ class PacketProcessingEngine:
     def _deliver_batch(
         self, deliveries: list[tuple[Packet, Verdict, list, DoneCallback, int, float]]
     ) -> None:
-        # Done callbacks run at the batch tail but carry each frame's
-        # virtual deliver time (``finish + pipeline_latency`` — the exact
-        # float the event-per-frame schedule computes), so a batch-aware
-        # consumer can keep downstream timestamps identical via
-        # ``Port.send_at``.
+        # Every lane delivers here.  Done callbacks may run at a batch
+        # tail but carry each frame's virtual deliver time (``finish +
+        # pipeline_latency`` — on the event-per-frame lane exactly the
+        # event time), so a consumer keeps downstream timestamps identical
+        # by egressing via ``Port.send_at``.
         latency_add = self.latency_ns.add
         for packet, verdict, emitted, done, enqueue_ns, deliver_s in deliveries:
             latency_add(int(deliver_s * 1e9) - enqueue_ns)
@@ -653,6 +648,8 @@ class PacketProcessingEngine:
         Admission replays the batched per-frame reservation arithmetic,
         so tail drops and service times are bit-identical to submitting
         each frame individually.  Returns the number of admitted frames.
+        Only engines built with a compiled ``program`` take bursts; the
+        constructor makes those batched.
 
         Bursts the fused contract cannot express deopt at submit: with a
         tracer attached, no fusible program, a flow the application opts
@@ -667,7 +664,6 @@ class PacketProcessingEngine:
             program is not None
             and program.fusible
             and self.tracer is None
-            and self.batch_size > 1
             and not self._arrivals
         ):
             if program.mode == "meter":
@@ -679,14 +675,6 @@ class PacketProcessingEngine:
         if key is None and not meter:
             values = times.tolist() if hasattr(times, "tolist") else list(times)
             self.compiled_deopts += len(values)
-            if self.batch_size <= 1:
-                admitted = 0
-                for at in values:
-                    if self.submit(
-                        template.copy(), direction, done_frame, at_s=at, size=size
-                    ):
-                        admitted += 1
-                return admitted
             defer = self._defer_commit
             self._defer_commit = True
             admitted = 0
@@ -995,7 +983,7 @@ class PacketProcessingEngine:
         finish = burst.finish
         enqueue = burst.enqueue_ns
         total = len(finish)
-        apply = self._apply_batched
+        apply = self._apply if self.tracer is None else self._trace
         pipeline_latency_s = self.pipeline_latency_s
         deliveries: list = []
         self.compiled_deopts += end - pos
@@ -1099,163 +1087,100 @@ class PacketProcessingEngine:
     # Functional application (fast path + slow path)
     # ------------------------------------------------------------------
     def _apply(
-        self, packet: Packet, size: int, direction: Direction, ctx: PPEContext
-    ) -> Verdict:
-        """Run the application on one frame, via the flow cache if possible."""
-        tracer = self.tracer
-        if tracer is not None and tracer.is_traced(packet):
-            verdict, _emitted = self._apply_traced(packet, size, direction, ctx)
-            return verdict
-        app = self.app
-        cache = self.flow_cache
-        verdict: Verdict | None = None
-        if cache is not None:
-            key = app.flow_key(packet)
-            if key is not None:
-                generation = app.tables.generation()
-                recipe = cache.lookup((direction, key), generation)
-                if recipe is not None:
-                    self.fastpath_hits.count(size)
-                    verdict = recipe.apply(packet, app)
-                else:
-                    recipe = app.decide(packet, ctx)
-                    if recipe is not None:
-                        cache.insert((direction, key), recipe, generation)
-                        verdict = recipe.apply(packet, app)
-        if verdict is None:
-            verdict = app.process(packet, ctx)
-            if not isinstance(verdict, Verdict):
-                raise SimulationError(
-                    f"application {app.name!r} returned {verdict!r} "
-                    "instead of a Verdict"
-                )
-        # Counted post-process: applications may change the frame length.
-        self.processed.count(packet.wire_len)
-        self.verdict_counts[verdict] += 1
-        return verdict
-
-    def _apply_batched(
         self,
         packet: Packet,
         size: int,
         direction: Direction,
-        finish_ns: int,
+        time_ns: int,
         queue_depth: int,
     ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple]:
-        """Batched-mode :meth:`_apply` with a lazily built context.
+        """Run the application on one frame, via the flow cache if possible.
 
-        Recipe replays never see the context (the application is not
-        entered), so cache hits skip building it entirely and report an
-        empty emitted tuple; a recipe's structural ops may change the
-        frame length, so the ``processed`` counter sees the precomputed
-        ``size`` plus the recipe's ``size_delta``.  Slow-path frames get
-        the identical ``PPEContext`` the event-per-frame execution
-        constructs.
+        The one functional path of every lane: ``time_ns`` and
+        ``queue_depth`` are the frame's decision time and the ingress
+        occupancy it sees.  Recipe replays never see a context (the
+        application is not entered), so cache hits skip building it and
+        report an empty emitted tuple; a recipe's structural ops may
+        change the frame length, so ``processed`` counts the arrival
+        ``size`` plus the recipe's ``size_delta``.
         """
-        tracer = self.tracer
-        if tracer is not None and tracer.is_traced(packet):
-            ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
-            return self._apply_traced(packet, size, direction, ctx)
         app = self.app
         cache = self.flow_cache
-        if cache is not None:
-            key = app.flow_key(packet)
-            if key is not None:
-                generation = app.tables.generation()
-                recipe = cache.lookup((direction, key), generation)
-                if recipe is not None:
-                    hits = self.fastpath_hits
-                    hits.packets += 1
-                    hits.bytes += size
-                    verdict = recipe.apply(packet, app, size)
-                    processed = self.processed
-                    processed.packets += 1
-                    processed.bytes += size + recipe.size_delta
-                    self.verdict_counts[verdict] += 1
-                    return verdict, ()
-                ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
-                recipe = app.decide(packet, ctx)
-                if recipe is not None:
-                    cache.insert((direction, key), recipe, generation)
-                    verdict = recipe.apply(packet, app, size)
-                    self.processed.count(size + recipe.size_delta)
-                    self.verdict_counts[verdict] += 1
-                    return verdict, ctx.emitted
-                verdict = app.process(packet, ctx)
-                if not isinstance(verdict, Verdict):
-                    raise SimulationError(
-                        f"application {app.name!r} returned {verdict!r} "
-                        "instead of a Verdict"
-                    )
-                self.processed.count(packet.wire_len)
+        key = None if cache is None else app.flow_key(packet)
+        if key is not None:
+            generation = app.tables.generation()
+            recipe = cache.lookup((direction, key), generation)
+            if recipe is not None:
+                hits = self.fastpath_hits
+                hits.packets += 1
+                hits.bytes += size
+                verdict = recipe.apply(packet, app, size)
+                processed = self.processed
+                processed.packets += 1
+                processed.bytes += size + recipe.size_delta
+                self.verdict_counts[verdict] += 1
+                return verdict, ()
+        ctx = PPEContext(time_ns, direction, self.device_id, queue_depth)
+        if key is not None:
+            recipe = app.decide(packet, ctx)
+            if recipe is not None:
+                cache.insert((direction, key), recipe, generation)
+                verdict = recipe.apply(packet, app, size)
+                self.processed.count(size + recipe.size_delta)
                 self.verdict_counts[verdict] += 1
                 return verdict, ctx.emitted
-        ctx = PPEContext(finish_ns, direction, self.device_id, queue_depth)
         verdict = app.process(packet, ctx)
         if not isinstance(verdict, Verdict):
             raise SimulationError(
                 f"application {app.name!r} returned {verdict!r} "
                 "instead of a Verdict"
             )
+        # Counted post-process: applications may change the frame length.
         self.processed.count(packet.wire_len)
         self.verdict_counts[verdict] += 1
         return verdict, ctx.emitted
 
-    def _apply_traced(
-        self, packet: Packet, size: int, direction: Direction, ctx: PPEContext
-    ) -> tuple[Verdict, list[tuple[Packet, Direction]]]:
-        """Instrumented (cold) twin of the apply paths for traced packets.
+    def _trace(
+        self,
+        packet: Packet,
+        size: int,
+        direction: Direction,
+        time_ns: int,
+        queue_depth: int,
+    ) -> tuple[Verdict, list[tuple[Packet, Direction]] | tuple]:
+        """Tracer hook around :meth:`_apply`, taken while a tracer is attached.
 
-        Functionally identical to :meth:`_apply` — the same counters, cache
-        operations, and verdict checks in the same order — but additionally
-        records a ``ppe`` span (queue residency, fast-path hit/miss) and an
-        ``app`` span (verdict, header mutations) on the attached tracer.
-        Stage names are string literals matching ``repro.obs.trace``
-        constants: core never imports obs.
+        Traced frames additionally record a ``ppe`` span (queue residency,
+        fast-path hit/miss read off the flow cache's counters) and an
+        ``app`` span (verdict, header mutations).  Stage names are string
+        literals matching ``repro.obs.trace`` constants: core never
+        imports obs.
         """
         tracer = self.tracer
+        if not tracer.is_traced(packet):
+            return self._apply(packet, size, direction, time_ns, queue_depth)
         before = tracer.snapshot_headers(packet)
-        app = self.app
         cache = self.flow_cache
-        fastpath: str | None = None
-        verdict: Verdict | None = None
         if cache is not None:
-            key = app.flow_key(packet)
-            if key is not None:
-                generation = app.tables.generation()
-                recipe = cache.lookup((direction, key), generation)
-                if recipe is not None:
-                    fastpath = "hit"
-                    self.fastpath_hits.count(size)
-                    verdict = recipe.apply(packet, app, size)
-                else:
-                    fastpath = "miss"
-                    recipe = app.decide(packet, ctx)
-                    if recipe is not None:
-                        cache.insert((direction, key), recipe, generation)
-                        verdict = recipe.apply(packet, app, size)
-        if verdict is None:
-            verdict = app.process(packet, ctx)
-            if not isinstance(verdict, Verdict):
-                raise SimulationError(
-                    f"application {app.name!r} returned {verdict!r} "
-                    "instead of a Verdict"
-                )
-        self.processed.count(packet.wire_len)
-        self.verdict_counts[verdict] += 1
-        enqueue_ns = packet.meta.get("ppe_enqueue_ns", ctx.time_ns)
+            hits, misses = cache.hits, cache.misses
+        verdict, emitted = self._apply(
+            packet, size, direction, time_ns, queue_depth
+        )
         ppe_detail: dict[str, object] = {
-            "app": app.name,
-            "queue_depth": ctx.queue_depth,
+            "app": self.app.name,
+            "queue_depth": queue_depth,
         }
-        if fastpath is not None:
-            ppe_detail["fastpath"] = fastpath
+        if cache is not None:
+            if cache.hits != hits:
+                ppe_detail["fastpath"] = "hit"
+            elif cache.misses != misses:
+                ppe_detail["fastpath"] = "miss"
         tracer.record(
             packet,
             "ppe",
             f"ppe{self.device_id}",
-            enqueue_ns,
-            ctx.time_ns,
+            packet.meta.get("ppe_enqueue_ns", time_ns),
+            time_ns,
             direction,
             **ppe_detail,
         )
@@ -1264,15 +1189,9 @@ class PacketProcessingEngine:
         if mutations:
             app_detail["mutations"] = mutations
         tracer.record(
-            packet,
-            "app",
-            app.name,
-            ctx.time_ns,
-            ctx.time_ns,
-            direction,
-            **app_detail,
+            packet, "app", self.app.name, time_ns, time_ns, direction, **app_detail
         )
-        return verdict, ctx.emitted
+        return verdict, emitted
 
     def snapshot(self) -> dict[str, object]:
         """Structured counter snapshot (stable legacy dict layout)."""

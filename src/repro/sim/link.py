@@ -358,14 +358,16 @@ class Port:
         batch window (a batch tail replaying per-frame deliver times);
         serialization arithmetic still uses the virtual arrival, only the
         deliver *event* is clamped to now.  Non-coalescing ports fall
-        back to a scheduled plain send (and cannot report the eventual
-        tail-drop outcome, hence True).
+        back to a plain send scheduled at exactly ``at_s`` (and cannot
+        report the eventual tail-drop outcome, hence True), so
+        ``send_at(p, now + d)`` and ``send_delayed(p, d)`` send at the
+        same float time on every port.
         """
         if self.coalesce and self._peer is not None:
             return self._reserve_tx(packet, at_s, size)
         if at_s <= self.sim.now:
             return self.send(packet, size)
-        self.sim.schedule(at_s - self.sim.now, self.send, packet, size)
+        self.sim.schedule_at(at_s, self.send, packet, size)
         return True
 
     def _reserve_tx(

@@ -143,3 +143,56 @@ def run(scenario: dict, coalesce: bool) -> dict:
 @given(scenarios)
 def test_coalesced_port_matches_event_pair(scenario):
     assert run(scenario, coalesce=True) == run(scenario, coalesce=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    now=st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+    frames=st.lists(
+        st.tuples(
+            st.floats(0.0, 1e-3, allow_nan=False, allow_infinity=False),
+            st.integers(0, 1600),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    coalesce=st.booleans(),
+    queue_bytes=st.sampled_from((100, 1600, 1 << 20)),
+)
+def test_send_at_matches_send_delayed(now, frames, coalesce, queue_bytes):
+    """``send_at(p, now + d)`` is ``send_delayed(p, d)``, to the bit.
+
+    The module egresses every frame at an absolute virtual time; on a
+    port that does not coalesce that must schedule the same float the
+    relative form would, so per-frame and batched runs stay identical.
+    Unlike the differential property above, times here are arbitrary
+    floats, not whole ticks.
+    """
+    frames = sorted(frames)
+
+    def run(absolute: bool) -> dict:
+        sim = Simulator()
+        a = Port(sim, "a", rate_bps=10e9, queue_bytes=queue_bytes, coalesce=coalesce)
+        b = Port(sim, "b", rate_bps=10e9)
+        a.connect(b)
+        received = []
+        b.attach(lambda port, packet: received.append((packet.meta["id"], sim.now)))
+
+        def burst() -> None:
+            for index, (delay, payload) in enumerate(frames):
+                packet = Packet(payload=bytes(payload))
+                packet.meta["id"] = index
+                if absolute:
+                    a.send_at(packet, sim.now + delay)
+                else:
+                    a.send_delayed(packet, delay)
+
+        sim.schedule_at(now, burst)
+        sim.run()
+        return {
+            "received": received,
+            "a": (a.tx.packets, a.tx.bytes, a.drops.packets, a.drops.bytes),
+            "b": (b.rx.packets, b.rx.bytes),
+        }
+
+    assert run(absolute=True) == run(absolute=False)

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core import Direction, PacketProcessingEngine, Verdict
+from repro.apps import create_app
 from repro.core.ppe import PPEApplication, PPEContext
+from repro.core.shells import ShellSpec
 from repro.errors import SimulationError
 from repro.fpga import TimingSpec
+from repro.hls import compile_executor
 from repro.hls.ir import PipelineSpec, Stage, StageKind
 from repro.packet import Packet, make_udp, pad_to_min
 
@@ -146,3 +149,33 @@ class TestQueueing:
         stats = engine.snapshot()
         assert stats["processed"]["packets"] == 1
         assert "verdicts" in stats and "latency_ns" in stats
+
+
+class TestConstruction:
+    def test_batch_size_below_one_rejected(self, sim):
+        with pytest.raises(SimulationError, match="batch size must be >= 1"):
+            PacketProcessingEngine(
+                sim, EchoApp(), TimingSpec(64, 156.25e6), batch_size=0
+            )
+
+    def test_compiled_program_needs_a_batched_engine(self, sim):
+        # Burst fusion reserves through the batched admission lane; an
+        # unbatched engine with a compiled program has no lane to run it.
+        app = create_app("nat", {})
+        executor = compile_executor(app, ShellSpec())
+        with pytest.raises(SimulationError, match="batch size must be >= 2"):
+            PacketProcessingEngine(
+                sim,
+                app,
+                executor.build.report.timing,
+                batch_size=1,
+                program=executor.program,
+            )
+        engine = PacketProcessingEngine(
+            sim,
+            app,
+            executor.build.report.timing,
+            batch_size=2,
+            program=executor.program,
+        )
+        assert engine.program is executor.program
